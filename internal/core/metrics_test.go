@@ -123,6 +123,9 @@ func TestPoolInstrumentWhileRunning(t *testing.T) {
 		p.ProcessBatch(pkts)
 	}
 	<-done
+	// Counters start from the batch after Instrument, which the
+	// goroutine may reach only once the loop above has finished.
+	p.ProcessBatch(pkts)
 	snap := reg.Snapshot()
 	var counted uint64
 	for w := 0; w < p.Workers(); w++ {

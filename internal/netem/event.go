@@ -1,12 +1,24 @@
 package netem
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
-// The event loop stores typed event values in a growable slice-backed
-// binary heap. The hot-path events (link departure, link arrival,
-// policy-delayed redispatch) carry their operands in struct fields, so a
-// forwarded packet costs no closure or heap allocation per hop; only the
-// public Schedule/ScheduleAt API still wraps arbitrary callbacks.
+// Virtual time inside the engine is an int64: nanoseconds since the
+// simulator's start. time.Time appears only at the API edges (Now,
+// ScheduleAt, RunUntil, handler/hook/trace/barrier arguments), converted
+// with start.Add: callers see the start time advanced by the elapsed
+// duration, in the start's location and with its monotonic reading.
+//
+// The event queue is split in two. A 4-ary min-heap orders small
+// eventKeys — (at, seq, slot), no pointers, so the GC never scans it and
+// a sift moves 24 bytes — while the typed event payloads sit still in a
+// per-shard slab indexed by slot, recycled through a free list. The
+// hot-path events (link departure, link arrival, policy-delayed
+// redispatch) carry their operands in payload fields, so a forwarded
+// packet costs no closure or heap allocation per hop; only the public
+// Schedule/ScheduleAt API still wraps arbitrary callbacks.
 
 type eventKind uint8
 
@@ -18,9 +30,9 @@ const (
 	evProc                     // processing-delayed pkt originates at node
 )
 
+// event is a queued event's payload; its time and sequence live in the
+// heap key.
 type event struct {
-	at   time.Time
-	seq  uint64
 	kind eventKind
 	node *Node
 	pkt  *Packet
@@ -28,61 +40,120 @@ type event struct {
 	fn   func()
 }
 
-// eventQueue is a binary min-heap ordered by (at, seq): earliest first,
-// FIFO among simultaneous events. Values live inline in the slice — no
-// per-event pointer, no interface boxing.
+// eventKey orders one queued event: earliest at first, FIFO (seq) among
+// simultaneous events. slot locates the payload in the slab.
+type eventKey struct {
+	at   int64
+	seq  uint64
+	slot uint32
+}
+
+func (k eventKey) less(o eventKey) bool {
+	return k.at < o.at || (k.at == o.at && k.seq < o.seq)
+}
+
+// eventQueue is a 4-ary min-heap of eventKeys over a payload slab.
+// (at, seq) is unique within a shard, so the pop order is a pure
+// function of the pushed keys — independent of heap arity and slot
+// assignment.
 type eventQueue struct {
-	h []event
+	keys []eventKey
+	slab []event
+	free []uint32 // slab slots not holding a queued payload
 }
 
-func (q *eventQueue) len() int { return len(q.h) }
+func (q *eventQueue) len() int { return len(q.keys) }
 
-func (q *eventQueue) less(i, j int) bool {
-	if !q.h[i].at.Equal(q.h[j].at) {
-		return q.h[i].at.Before(q.h[j].at)
+// peek reports the earliest queued time; the queue must be non-empty.
+func (q *eventQueue) peek() int64 { return q.keys[0].at }
+
+func (q *eventQueue) push(at int64, seq uint64, ev event) {
+	var slot uint32
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slab[slot] = ev
+	} else {
+		slot = uint32(len(q.slab))
+		q.slab = append(q.slab, ev)
 	}
-	return q.h[i].seq < q.h[j].seq
-}
-
-func (q *eventQueue) push(ev event) {
-	q.h = append(q.h, ev)
-	i := len(q.h) - 1
+	k := eventKey{at: at, seq: seq, slot: slot}
+	q.keys = append(q.keys, k)
+	h := q.keys
+	i := len(h) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		parent := (i - 1) / 4
+		if !k.less(h[parent]) {
 			break
 		}
-		q.h[i], q.h[parent] = q.h[parent], q.h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = k
 }
 
-func (q *eventQueue) pop() event {
-	top := q.h[0]
-	n := len(q.h) - 1
-	q.h[0] = q.h[n]
-	q.h[n] = event{} // drop pkt/fn references for the GC
-	q.h = q.h[:n]
-	q.siftDown(0)
-	return top
+// pop removes the earliest event, returning its time and payload. The
+// payload's slab slot is cleared (dropping pkt/fn references for the
+// GC) and recycled.
+func (q *eventQueue) pop() (int64, event) {
+	h := q.keys
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	q.keys = h
+	if n > 0 {
+		// Sift the hole at the root down, then drop the last key in.
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= n {
+				break
+			}
+			m := c
+			for j, end := c+1, min(c+4, n); j < end; j++ {
+				if h[j].less(h[m]) {
+					m = j
+				}
+			}
+			if !h[m].less(last) {
+				break
+			}
+			h[i] = h[m]
+			i = m
+		}
+		h[i] = last
+	}
+	ev := q.slab[top.slot]
+	q.slab[top.slot] = event{}
+	q.free = append(q.free, top.slot)
+	return top.at, ev
 }
 
-func (q *eventQueue) siftDown(i int) {
-	n := len(q.h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && q.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		q.h[i], q.h[smallest] = q.h[smallest], q.h[i]
-		i = smallest
+// addSat returns t+d, saturating at the end of representable virtual
+// time instead of wrapping.
+func addSat(t int64, d time.Duration) int64 {
+	if s := t + int64(d); d <= 0 || s >= t {
+		return s
+	}
+	return math.MaxInt64
+}
+
+// step pops the shard's earliest event, advances the clock to it, and
+// runs it; the queue must be non-empty.
+func (sh *shard) step() {
+	at, ev := sh.events.pop()
+	sh.now = at
+	sh.mEvents.Inc()
+	sh.dispatchEvent(&ev)
+}
+
+// runWindow executes the shard's events with timestamps <= last, in
+// (at, seq) order. Events it generates for its own shard join the queue
+// immediately; events for other shards are staged in the outbox.
+func (sh *shard) runWindow(last int64) {
+	for sh.events.len() > 0 && sh.events.peek() <= last {
+		sh.step()
 	}
 }
 

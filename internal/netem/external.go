@@ -19,7 +19,7 @@ func (s *Simulator) NextEventAt() (time.Time, bool) {
 	if sh.events.len() == 0 {
 		return time.Time{}, false
 	}
-	return sh.events.h[0].at, true
+	return s.at(sh.events.peek()), true
 }
 
 // Step pops and dispatches the single earliest pending event, advancing
@@ -33,13 +33,8 @@ func (s *Simulator) Step() bool {
 	if sh.events.len() == 0 {
 		return false
 	}
-	ev := sh.events.pop()
-	sh.now = ev.at
-	sh.mEvents.Inc()
-	sh.dispatchEvent(&ev)
-	if s.committed.Before(sh.now) {
-		s.committed = sh.now
-	}
+	sh.step()
+	s.committed = max(s.committed, sh.now)
 	return true
 }
 

@@ -123,7 +123,7 @@ func (s *Simulator) AttachFlightRecorder(fr *obs.FlightRecorder) {
 // barrierTick refreshes barrier-sampled gauges and fires OnBarrier
 // callbacks. Runs single-threaded with all shards quiescent; now must
 // be deterministic virtual time.
-func (s *Simulator) barrierTick(now time.Time) {
+func (s *Simulator) barrierTick(now int64) {
 	if len(s.onBarrier) == 0 {
 		return
 	}
@@ -131,8 +131,9 @@ func (s *Simulator) barrierTick(now time.Time) {
 		sh.gHeap.Set(int64(sh.events.len()))
 		sh.gPoolFree.Set(int64(len(sh.pool.free)))
 	}
+	t := s.at(now)
 	for _, fn := range s.onBarrier {
-		fn(now)
+		fn(t)
 	}
 }
 

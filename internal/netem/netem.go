@@ -4,10 +4,12 @@
 // thousands of customer hosts behind one neutralizer domain) run in
 // seconds.
 //
-// A Simulator owns a virtual clock and a slice-backed heap of typed
-// events; the hot-path events (link departure/arrival, policy delay)
-// carry their operands inline, so forwarding a packet allocates nothing
-// in steady state. Packets are pooled, refcounted buffers (Packet) that
+// A Simulator owns an integer virtual clock (nanoseconds since its
+// start; time.Time only at the API edges) and a 4-ary heap of compact
+// (time, sequence, slot) keys over a slab of typed event payloads; the
+// hot-path events (link departure/arrival, policy delay) carry their
+// operands in the payload, so forwarding a packet allocates nothing in
+// steady state. Packets are pooled, refcounted buffers (Packet) that
 // cross the whole path — links, transit hooks, handlers — without per-hop
 // copies. Nodes (hosts and routers) are connected by Links with
 // propagation delay, transmission rate and bounded egress queues. Each
@@ -38,6 +40,7 @@ package netem
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/netip"
 	"time"
@@ -211,7 +214,8 @@ type TraceHook func(ev TraceEvent)
 // sharding.
 type Simulator struct {
 	start       time.Time
-	committed   time.Time // multi-shard: time every shard has reached
+	startNanos  int64 // start.UnixNano(): NowNanos without a conversion
+	committed   int64 // multi-shard: virtual time every shard has reached
 	seed        int64
 	shards      []*shard
 	workers     int
@@ -243,25 +247,35 @@ type Simulator struct {
 // randomness derives from seed.
 func NewSimulator(start time.Time, seed int64) *Simulator {
 	s := &Simulator{
-		start:     start,
-		committed: start,
-		seed:      seed,
-		workers:   1,
-		nodes:     make(map[string]*Node),
-		byAddr:    make(map[netip.Addr]*Node),
-		anycast:   make(map[netip.Addr][]*Node),
-		met:       newSimMetrics(),
+		start:      start,
+		startNanos: start.UnixNano(),
+		seed:       seed,
+		workers:    1,
+		nodes:      make(map[string]*Node),
+		byAddr:     make(map[netip.Addr]*Node),
+		anycast:    make(map[netip.Addr][]*Node),
+		met:        newSimMetrics(),
 	}
-	s.shards = []*shard{newShard(s, 0, start)}
+	s.shards = []*shard{newShard(s, 0, 0)}
 	return s
 }
+
+// at converts virtual nanoseconds to the API's time.Time.
+func (s *Simulator) at(n int64) time.Time { return s.start.Add(time.Duration(n)) }
+
+// nanos converts an API time to virtual nanoseconds, saturating outside
+// the int64 range (time.Time.Sub saturates).
+func (s *Simulator) nanos(t time.Time) int64 { return int64(t.Sub(s.start)) }
 
 // Now returns the current virtual time: exact while execution is
 // single-threaded (one shard, or shards declared but every node still
 // on shard 0); for genuinely sharded simulators, the time every shard
 // is known to have reached (callbacks wanting their exact event time
 // use the now they receive, or Node.Now).
-func (s *Simulator) Now() time.Time {
+func (s *Simulator) Now() time.Time { return s.at(s.now()) }
+
+// now is Now in virtual nanoseconds.
+func (s *Simulator) now() int64 {
 	if len(s.shards) == 1 || !s.multi {
 		return s.shards[0].now
 	}
@@ -313,14 +327,14 @@ func (s *Simulator) Schedule(d time.Duration, fn func()) {
 	}
 	s.guardShard0()
 	sh := s.shards[0]
-	sh.schedule(sh.now.Add(d), event{kind: evFunc, fn: fn})
+	sh.schedule(addSat(sh.now, d), event{kind: evFunc, fn: fn})
 }
 
 // ScheduleAt runs fn at absolute virtual time t (clamped to now) on
 // shard 0. The multi-worker restriction of Schedule applies.
 func (s *Simulator) ScheduleAt(t time.Time, fn func()) {
 	s.guardShard0()
-	s.shards[0].schedule(t, event{kind: evFunc, fn: fn})
+	s.shards[0].schedule(s.nanos(t), event{kind: evFunc, fn: fn})
 }
 
 // guardShard0 turns a mid-parallel-run call to a shard-0 API (Schedule,
@@ -334,14 +348,14 @@ func (s *Simulator) guardShard0() {
 }
 
 // Run processes events until every queue is empty.
-func (s *Simulator) Run() { s.runLimit(time.Time{}, false) }
+func (s *Simulator) Run() { s.runLimit(math.MaxInt64, false) }
 
 // RunUntil processes events with timestamps <= t, then advances the
 // clock to t.
-func (s *Simulator) RunUntil(t time.Time) { s.runLimit(t, true) }
+func (s *Simulator) RunUntil(t time.Time) { s.runLimit(s.nanos(t), true) }
 
 // RunFor advances the simulation by d.
-func (s *Simulator) RunFor(d time.Duration) { s.RunUntil(s.Now().Add(d)) }
+func (s *Simulator) RunFor(d time.Duration) { s.runLimit(addSat(s.now(), d), true) }
 
 // PendingEvents reports events waiting across all queues.
 func (s *Simulator) PendingEvents() int {
@@ -618,7 +632,7 @@ func (n *Node) SendPacketProc(p *Packet, proc time.Duration) error {
 	n.sh.stampJourney(p)
 	n.sh.emit(TraceSend, n, p)
 	p.attrProc += int64(proc)
-	n.sh.schedule(n.sh.now.Add(proc), event{kind: evProc, node: n, pkt: p})
+	n.sh.schedule(addSat(n.sh.now, proc), event{kind: evProc, node: n, pkt: p})
 	return nil
 }
 
@@ -635,8 +649,12 @@ func (n *Node) dispatch(p *Packet, origin bool) error {
 		var delay time.Duration
 		var cause PolicyCause
 		var class uint8
+		var now time.Time
+		if len(n.hooks) > 0 {
+			now = n.sim.at(n.sh.now)
+		}
 		for _, h := range n.hooks {
-			v := h(n.sh.now, n, p.Pkt)
+			v := h(now, n, p.Pkt)
 			if v.Drop {
 				p.cause, p.class = v.Cause, v.Class
 				n.sh.emit(TraceDropPolicy, n, p)
@@ -653,7 +671,7 @@ func (n *Node) dispatch(p *Packet, origin bool) error {
 		if delay > 0 {
 			p.attrPolicy += int64(delay)
 			p.cause, p.class = cause, class
-			n.sh.schedule(n.sh.now.Add(delay), event{kind: evDelayed, node: n, pkt: p})
+			n.sh.schedule(addSat(n.sh.now, delay), event{kind: evDelayed, node: n, pkt: p})
 			return nil
 		}
 	}
@@ -712,7 +730,7 @@ func (n *Node) dispatchAfterPolicy(p *Packet, origin bool) error {
 func (n *Node) deliver(p *Packet) {
 	n.sh.emit(TraceDeliver, n, p)
 	if n.handler != nil {
-		n.handler(n.sh.now, p.Pkt)
+		n.handler(n.sim.at(n.sh.now), p.Pkt)
 	}
 	p.Release()
 }

@@ -2,7 +2,6 @@ package netem
 
 import (
 	"fmt"
-	"time"
 
 	"netneutral/internal/obs"
 )
@@ -32,8 +31,9 @@ type Packet struct {
 	DSCP uint8
 	// Size is len(Pkt), kept for queue disciplines.
 	Size int
-	// Arrived is when the packet entered its current egress queue.
-	Arrived time.Time
+	// Arrived is when the packet entered its current egress queue, in
+	// virtual nanoseconds since the simulator's start.
+	Arrived int64
 
 	buf  []byte // full-capacity backing array
 	refs int32

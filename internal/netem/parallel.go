@@ -1,7 +1,9 @@
 package netem
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -66,31 +68,22 @@ func (s *Simulator) refreshPlan() {
 	s.met.lookahead.Set(la)
 }
 
-// runLimit is the engine behind Run/RunUntil: hasLimit bounds execution
-// to events with at <= limit and then advances clocks to limit.
-func (s *Simulator) runLimit(limit time.Time, hasLimit bool) {
+// runLimit is the engine behind Run/RunUntil: it executes events with
+// at <= limit (math.MaxInt64 for Run), then, when hasLimit, advances
+// clocks to limit.
+func (s *Simulator) runLimit(limit int64, hasLimit bool) {
 	s.refreshPlan()
 	if !s.multi {
 		// Classic serial loop on shard 0: the pre-shard engine,
 		// unchanged down to event ordering.
 		sh := s.shards[0]
-		for sh.events.len() > 0 {
-			if hasLimit && sh.events.h[0].at.After(limit) {
-				break
-			}
-			ev := sh.events.pop()
-			sh.now = ev.at
-			sh.mEvents.Inc()
-			sh.dispatchEvent(&ev)
-		}
-		if hasLimit && sh.now.Before(limit) {
+		sh.runWindow(limit)
+		if hasLimit && sh.now < limit {
 			sh.now = limit
 		}
 		// Keep the committed floor in sync so a later shard assignment
 		// (flipping Now() to the committed clock) never rewinds time.
-		if s.committed.Before(sh.now) {
-			s.committed = sh.now
-		}
+		s.committed = max(s.committed, sh.now)
 		// Serial runs have no epoch barriers; the end of a Run/RunUntil
 		// call is the quiescent point observers sample at.
 		s.barrierTick(sh.now)
@@ -100,7 +93,7 @@ func (s *Simulator) runLimit(limit time.Time, hasLimit bool) {
 }
 
 // runEpochs is the sharded epoch loop.
-func (s *Simulator) runEpochs(limit time.Time, hasLimit bool) {
+func (s *Simulator) runEpochs(limit int64, hasLimit bool) {
 	workers := s.workers
 	if workers > len(s.shards) {
 		workers = len(s.shards)
@@ -116,34 +109,29 @@ func (s *Simulator) runEpochs(limit time.Time, hasLimit bool) {
 	const minEventsPerWorker = 32
 	for {
 		next, pending, ok := s.nextEventTime()
-		if !ok || (hasLimit && next.After(limit)) {
+		if !ok || next > limit {
 			break
 		}
 		epochStart := time.Now()
-		if s.committed.Before(next) {
-			s.committed = next
+		s.committed = max(s.committed, next)
+		// The window is [next, next+lookahead), capped at limit
+		// (RunUntil is inclusive); with no cross-shard links, or past
+		// the end of representable time, it is unbounded.
+		last := int64(math.MaxInt64)
+		if la := int64(s.lookahead); s.lookahead != noLookahead && next <= math.MaxInt64-la { // overflow guard
+			last = next + la - 1
 		}
-		end := next.Add(s.lookahead)
-		if s.lookahead == noLookahead || end.Before(next) { // overflow guard
-			end = maxTime()
-		}
-		if hasLimit {
-			// Include events at exactly `limit` (RunUntil is inclusive)
-			// while keeping the window inside the lookahead bound.
-			if cap := limit.Add(time.Nanosecond); end.After(cap) {
-				end = cap
-			}
-		}
+		last = min(last, limit)
 		if workers <= 1 || pending < minEventsPerWorker*workers {
 			for _, sh := range s.shards {
-				sh.runWindow(end)
+				sh.runWindow(last)
 			}
 			for _, sh := range s.shards {
 				sh.mergeIncoming()
 			}
 		} else {
-			s.parallelPhase(workers, phaseRun, end)
-			s.parallelPhase(workers, phaseMerge, time.Time{})
+			s.parallelPhase(workers, phaseRun, last)
+			s.parallelPhase(workers, phaseMerge, 0)
 		}
 		s.flushTraces()
 		s.met.epochs.Inc()
@@ -155,18 +143,12 @@ func (s *Simulator) runEpochs(limit time.Time, hasLimit bool) {
 	}
 	if hasLimit {
 		for _, sh := range s.shards {
-			if sh.now.Before(limit) {
-				sh.now = limit
-			}
+			sh.now = max(sh.now, limit)
 		}
-		if s.committed.Before(limit) {
-			s.committed = limit
-		}
+		s.committed = max(s.committed, limit)
 	} else {
 		for _, sh := range s.shards {
-			if s.committed.Before(sh.now) {
-				s.committed = sh.now
-			}
+			s.committed = max(s.committed, sh.now)
 		}
 	}
 	// Final tick at the post-run clock so observers sample the end state
@@ -174,13 +156,11 @@ func (s *Simulator) runEpochs(limit time.Time, hasLimit bool) {
 	s.barrierTick(s.committed)
 }
 
-func maxTime() time.Time { return time.Unix(1<<62, 0) }
-
 // nextEventTime finds the earliest pending event across shards, along
 // with the total pending count (the parallel-vs-inline heuristic).
 // Called only at barriers, when all outboxes are drained.
-func (s *Simulator) nextEventTime() (time.Time, int, bool) {
-	var at time.Time
+func (s *Simulator) nextEventTime() (int64, int, bool) {
+	var at int64
 	pending := 0
 	found := false
 	for _, sh := range s.shards {
@@ -189,7 +169,7 @@ func (s *Simulator) nextEventTime() (time.Time, int, bool) {
 			continue
 		}
 		pending += n
-		if h := sh.events.h[0].at; !found || h.Before(at) {
+		if h := sh.events.peek(); !found || h < at {
 			at, found = h, true
 		}
 	}
@@ -206,7 +186,7 @@ const (
 // worker count. Shards are claimed dynamically (execution is a pure
 // function of shard state, so which worker runs a shard cannot affect
 // results — only load balance).
-func (s *Simulator) parallelPhase(workers, phase int, end time.Time) {
+func (s *Simulator) parallelPhase(workers, phase int, last int64) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -219,7 +199,7 @@ func (s *Simulator) parallelPhase(workers, phase int, end time.Time) {
 					return
 				}
 				if phase == phaseRun {
-					s.shards[k].runWindow(end)
+					s.shards[k].runWindow(last)
 				} else {
 					s.shards[k].mergeIncoming()
 				}
@@ -227,18 +207,6 @@ func (s *Simulator) parallelPhase(workers, phase int, end time.Time) {
 		}()
 	}
 	wg.Wait()
-}
-
-// runWindow executes the shard's events with timestamps strictly before
-// end. Events it generates for its own shard join the queue immediately;
-// events for other shards are staged in the outbox.
-func (sh *shard) runWindow(end time.Time) {
-	for sh.events.len() > 0 && sh.events.h[0].at.Before(end) {
-		ev := sh.events.pop()
-		sh.now = ev.at
-		sh.mEvents.Inc()
-		sh.dispatchEvent(&ev)
-	}
 }
 
 // mergeIncoming drains every other shard's outbox slot addressed to this
@@ -283,28 +251,22 @@ func (sh *shard) mergeIncoming() {
 	}
 	slices.SortFunc(buf, func(a, b remoteEvent) int {
 		switch {
-		case a.ev.at.Before(b.ev.at):
-			return -1
-		case b.ev.at.Before(a.ev.at):
-			return 1
+		case a.at != b.at:
+			return cmp.Compare(a.at, b.at)
 		case a.src != b.src:
 			return int(a.src) - int(b.src)
-		case a.ev.seq < b.ev.seq:
-			return -1
-		case a.ev.seq > b.ev.seq:
-			return 1
+		default:
+			return cmp.Compare(a.seq, b.seq)
 		}
-		return 0
 	})
 	for i := range buf {
-		ev := buf[i].ev
-		if ev.pkt != nil {
-			ev.pkt.pool = &sh.pool // re-home: Release returns it here
+		r := &buf[i]
+		if r.ev.pkt != nil {
+			r.ev.pkt.pool = &sh.pool // re-home: Release returns it here
 		}
 		sh.seq++
-		ev.seq = sh.seq
-		sh.events.push(ev)
-		buf[i] = remoteEvent{}
+		sh.events.push(r.at, sh.seq, r.ev)
+		*r = remoteEvent{}
 	}
 	sh.mergeBuf = buf[:0]
 }
@@ -335,24 +297,19 @@ func (s *Simulator) flushTraces() {
 	}
 	slices.SortFunc(recs, func(a, b flushRec) int {
 		switch {
-		case a.rec.at.Before(b.rec.at):
-			return -1
-		case b.rec.at.Before(a.rec.at):
-			return 1
+		case a.rec.at != b.rec.at:
+			return cmp.Compare(a.rec.at, b.rec.at)
 		case a.shard != b.shard:
 			return a.shard - b.shard
-		case a.rec.seq < b.rec.seq:
-			return -1
-		case a.rec.seq > b.rec.seq:
-			return 1
+		default:
+			return cmp.Compare(a.rec.seq, b.rec.seq)
 		}
-		return 0
 	})
 	for _, fr := range recs {
 		sh := s.shards[fr.shard]
 		ev := TraceEvent{
 			Kind:    fr.rec.kind,
-			Time:    fr.rec.at,
+			Time:    s.at(fr.rec.at),
 			Node:    fr.rec.node,
 			Pkt:     sh.traceBytes[fr.rec.off : fr.rec.off+fr.rec.n],
 			Flow:    fr.rec.flow,

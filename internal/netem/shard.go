@@ -9,14 +9,15 @@ import (
 )
 
 // The parallel engine partitions a Simulator into shards: each shard
-// owns an event queue, a packet freelist, a seeded PRNG, and the nodes
-// assigned to it. Execution proceeds in conservative epochs bounded by
-// the minimum cross-shard link propagation delay (the lookahead): within
-// an epoch every shard runs independently — it may only touch its own
-// state — and packets crossing a shard boundary are staged in per-
-// destination outboxes that the receiving shard merges deterministically
-// (ordered by time, then source shard, then source sequence) at the
-// epoch barrier. Because shard assignment is a property of the topology
+// owns an integer clock, an event queue (a 4-ary heap of (at, seq,
+// slot) keys over its own payload slab; see event.go), a packet
+// freelist, a seeded PRNG, and the nodes assigned to it. Execution
+// proceeds in conservative epochs bounded by the minimum cross-shard
+// link propagation delay (the lookahead): within an epoch every shard
+// runs independently — it may only touch its own state — and packets
+// crossing a shard boundary are staged in per-destination outboxes that
+// the receiving shard merges deterministically (ordered by time, then
+// source shard, then source sequence) at the epoch barrier. Because shard assignment is a property of the topology
 // and the merge order is a pure function of event content, a seeded run
 // is bit-identical at any worker count, including 1 (see parallel.go).
 
@@ -28,7 +29,7 @@ type shard struct {
 	sim *Simulator
 	id  int
 
-	now    time.Time
+	now    int64 // virtual nanoseconds since Simulator.start
 	seq    uint64
 	events eventQueue
 	pool   packetPool
@@ -69,13 +70,15 @@ type shard struct {
 // remoteEvent is a cross-shard event staged in an outbox, tagged with
 // its origin for the deterministic merge order.
 type remoteEvent struct {
-	ev  event // at = arrival time, seq = source-shard sequence
+	at  int64  // arrival time
+	seq uint64 // source-shard sequence
 	src int32
+	ev  event
 }
 
 // traceRec is one buffered trace emission.
 type traceRec struct {
-	at      time.Time
+	at      int64
 	seq     uint64
 	node    *Node
 	kind    TraceKind
@@ -115,7 +118,7 @@ func shardSeed(root int64, id int) int64 {
 	return int64(splitmix64(splitmix64(uint64(root)) + uint64(id)*0x9E3779B97F4A7C15))
 }
 
-func newShard(s *Simulator, id int, now time.Time) *shard {
+func newShard(s *Simulator, id int, now int64) *shard {
 	sh := &shard{sim: s, id: id, now: now,
 		rng: rand.New(rand.NewSource(shardSeed(s.seed, id)))}
 	sh.pool.shard = id
@@ -134,7 +137,7 @@ func newShard(s *Simulator, id int, now time.Time) *shard {
 // the worker count the simulation later runs with.
 func (s *Simulator) SetShardCount(n int) {
 	for len(s.shards) < n {
-		s.shards = append(s.shards, newShard(s, len(s.shards), s.Now()))
+		s.shards = append(s.shards, newShard(s, len(s.shards), s.now()))
 	}
 	s.planDirty = true
 }
@@ -190,10 +193,10 @@ type Context interface {
 
 // Now returns the node's shard-local virtual time: exact inside the
 // node's own callbacks, which is what source scheduling needs.
-func (n *Node) Now() time.Time { return n.sh.now }
+func (n *Node) Now() time.Time { return n.sim.at(n.sh.now) }
 
-// NowNanos returns the node's shard-local clock as nanoseconds.
-func (n *Node) NowNanos() int64 { return n.sh.now.UnixNano() }
+// NowNanos returns the node's shard-local clock as Unix nanoseconds.
+func (n *Node) NowNanos() int64 { return n.sim.startNanos + n.sh.now }
 
 // Schedule runs fn after d of virtual time on the node's shard. Source
 // generators anchored to a node schedule here so their emissions execute
@@ -202,7 +205,7 @@ func (n *Node) Schedule(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	n.sh.schedule(n.sh.now.Add(d), event{kind: evFunc, fn: fn})
+	n.sh.schedule(addSat(n.sh.now, d), event{kind: evFunc, fn: fn})
 }
 
 // Rand returns the PRNG of the node's shard. Deterministic parallel
@@ -221,28 +224,22 @@ func (n *Node) NewPacket(b []byte) *Packet {
 	return p
 }
 
-// schedule enqueues ev at absolute time at (clamped to the shard's now).
-func (sh *shard) schedule(at time.Time, ev event) {
-	if at.Before(sh.now) {
-		at = sh.now
-	}
+// schedule enqueues ev at virtual time at (clamped to the shard's now).
+func (sh *shard) schedule(at int64, ev event) {
 	sh.seq++
-	ev.at = at
-	ev.seq = sh.seq
-	sh.events.push(ev)
+	sh.events.push(max(at, sh.now), sh.seq, ev)
 }
 
 // sendRemote stages ev for another shard at absolute time at. The event
 // keeps the source shard's sequence number; the destination re-sequences
 // it during its deterministic merge.
-func (sh *shard) sendRemote(dst *shard, at time.Time, ev event) {
+func (sh *shard) sendRemote(dst *shard, at int64, ev event) {
 	sh.seq++
-	ev.at = at
-	ev.seq = sh.seq
 	for len(sh.outbox) <= dst.id {
 		sh.outbox = append(sh.outbox, nil)
 	}
-	sh.outbox[dst.id] = append(sh.outbox[dst.id], remoteEvent{ev: ev, src: int32(sh.id)})
+	sh.outbox[dst.id] = append(sh.outbox[dst.id],
+		remoteEvent{at: at, seq: sh.seq, src: int32(sh.id), ev: ev})
 }
 
 // stampJourney assigns the packet its journey id at origination.
@@ -287,7 +284,7 @@ func (sh *shard) emit(kind TraceKind, node *Node, p *Packet) {
 			flow := p.flowID()
 			if take || st.WantFlow(flow) {
 				st.Record(obs.TraceRec{
-					TimeNanos: sh.now.UnixNano(), Flow: flow, Journey: p.journey,
+					TimeNanos: sh.sim.startNanos + sh.now, Flow: flow, Journey: p.journey,
 					Node: int32(node.id), Size: int32(len(p.Pkt)), Kind: uint8(kind),
 					QueueNanos: int64(attr.Queue), SerializeNanos: int64(attr.Serialize),
 					PropagateNanos: int64(attr.Propagate), PolicyNanos: int64(attr.Policy),
@@ -303,7 +300,7 @@ func (sh *shard) emit(kind TraceKind, node *Node, p *Packet) {
 	if !s.running {
 		// Single-shard runs and setup-time emissions: hooks fire live,
 		// exactly as the serial engine always has.
-		ev := TraceEvent{Kind: kind, Time: sh.now, Node: node, Pkt: p.Pkt,
+		ev := TraceEvent{Kind: kind, Time: s.at(sh.now), Node: node, Pkt: p.Pkt,
 			Flow: p.flowID(), Journey: p.journey, Attr: attr}
 		for _, h := range s.traces {
 			h(ev)
