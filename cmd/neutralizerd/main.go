@@ -34,6 +34,7 @@ package main
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -276,7 +277,7 @@ func (d *daemon) deliver(pkt []byte) {
 		return
 	}
 	if peer, ok := d.reg.get(dst); ok {
-		if _, err := d.conn.WriteToUDPAddrPort(pkt, peer); err != nil && !isClosed(err) {
+		if _, err := d.conn.WriteToUDPAddrPort(pkt, peer); err != nil && !errors.Is(err, net.ErrClosed) {
 			log.Printf("write to %v: %v", peer, err)
 		}
 	}
@@ -292,7 +293,7 @@ func (d *daemon) runPerPacket(neut *netneutral.Neutralizer) error {
 	for {
 		n, from, err := d.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
-			if isClosed(err) {
+			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return err
@@ -326,14 +327,14 @@ func (d *daemon) runBatched(pool *netneutral.NeutralizerPool) error {
 		pkts = pkts[:0]
 		// Block for the first datagram of the batch.
 		if err := d.conn.SetReadDeadline(time.Time{}); err != nil {
-			if isClosed(err) {
+			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return err
 		}
 		n, from, err := d.conn.ReadFromUDPAddrPort(bufs[0])
 		if err != nil {
-			if isClosed(err) {
+			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return err
@@ -343,7 +344,7 @@ func (d *daemon) runBatched(pool *netneutral.NeutralizerPool) error {
 		}
 		// Opportunistically drain more, bounded by -batchwait.
 		if err := d.conn.SetReadDeadline(time.Now().Add(d.opts.batchWait)); err != nil {
-			if isClosed(err) {
+			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return err
@@ -352,7 +353,7 @@ func (d *daemon) runBatched(pool *netneutral.NeutralizerPool) error {
 			b := bufs[len(pkts)]
 			n, from, err := d.conn.ReadFromUDPAddrPort(b)
 			if err != nil {
-				if isClosed(err) {
+				if errors.Is(err, net.ErrClosed) {
 					return nil
 				}
 				break // deadline: ship what we have
@@ -404,10 +405,6 @@ func (r *registry) len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.m)
-}
-
-func isClosed(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "use of closed network connection")
 }
 
 func randRead(b []byte) (int, error) { return rand.Read(b) }

@@ -3,60 +3,23 @@
 // ISP sees, what its classifier catches, and whether the targeted
 // customer's traffic survives.
 //
-// With -hosts it instead runs the metro-scale scenario: a fan-out
+// With -hosts it instead runs the observed metro scenario: a fan-out
 // topology (supportive ISP + discriminatory transit + N customer hosts,
 // built by netem.BuildFanout) with the stateless neutralizer at the
-// border, reporting engine throughput (sim-events/sec, packets/sec)
-// alongside the scenario verdicts.
+// border, reporting engine throughput alongside the scenario verdicts.
+// -trace records flows through the flight recorder (-traceout writes
+// them as Perfetto-loadable JSON) and -metrics serves the live
+// observability surface while it runs.
 //
-// With -arms it runs the E7 arms race at a chosen scale: app-shaped
-// flows (VoIP / video / bulk / web) under {plaintext, encrypted,
-// encrypted+cloak} against {port-rule, statistical-dpi} adversaries,
-// reporting classifier accuracy, per-class goodput and the cloak's
-// measured cost. A failed arms-race verdict exits non-zero, which is
-// how CI smokes the arms path at reduced scale.
-//
-// With -audit it runs the E8 neutrality audit: paired differential
-// probes (app-shaped suspect flow vs shape-neutral control) from
-// -vantages outside vantage points plus inside reference paths,
-// against the full ISP ladder {neutral, port-rule, dpi, dpi+stealth,
-// dpi+probe-evasion} x {plaintext, encrypted} x {naive, interleaved},
-// reporting per-cell detection power, the neutral false-positive rate,
-// and path-segment localization. A failed audit verdict exits
-// non-zero; CI smokes it at reduced scale.
-//
-// With -realproto it runs the E10 real-protocol scenario: a blocking
-// DNS client and unmodified net/http servers and clients execute over
-// simnet's virtual-time sockets — DNS bootstrap, §3.2 key setup, and
-// keep-alive HTTP requests through the neutralizer — while the
-// E7-trained DPI classifier taps transit and an E8-style audit vantage
-// measures real request latencies against a targeted throttler. Every
-// verdict is self-enforced (eval.RealProtoStats.Enforce); a violation
-// exits non-zero, and the narration is deterministic for a fixed -seed,
-// which is how CI byte-diffs two runs.
-//
-// With -backbone it runs the E13 continental scenario: -metros metro
-// fan-outs (each with -hosts customers, its own address blocks and its
-// own anycast neutralizer) stitched through a transit core with
-// wide-area delays, carrying neutralized cross-backbone flows, plain
-// cross-metro probes, and fluid background load at once. The run is an
-// identity sweep over worker counts {1, -simworkers}; a determinism
-// violation or misdelivery exits non-zero. Deterministic facts go to
-// stdout (two runs with the same flags byte-diff clean, which is how CI
-// smokes this path), wall-clock figures to stderr.
-//
-// With -parscale it runs the E9 parallel-scaling sweep: the metro
-// workload (downstream neutralized load plus intra-subtree chatter) at
-// worker counts 1/2/4, enforcing that every deterministic outcome is
-// bit-identical across worker counts and reporting events/sec per
-// worker count. A determinism violation exits non-zero; CI smokes it at
-// reduced scale.
+// The registered experiments, the scenario experiments E6-E10 and E13
+// among them, run from neutbench (`neutbench -exp ID [-reduced]`),
+// which also enforces their determinism contract.
 //
 // -seed threads one seed through every RNG in the run — simulator,
-// policies, per-flow jitter, and end-host identity generation — so any
-// scenario replays bit-identically. -simworkers picks how many threads
-// execute the sharded metro/audit engines; by the engine's determinism
-// contract it changes wall-clock time, never results.
+// policies, and end-host identity generation — so any scenario replays
+// bit-identically. -simworkers picks how many threads execute the
+// sharded metro engine; by the engine's determinism contract it changes
+// wall-clock time, never results.
 //
 // Usage:
 //
@@ -68,11 +31,6 @@
 //	neutsim -hosts 1000 -trace 0.01 -metrics :0      # sampled flows on /trace.json
 //	neutsim -hosts 1000 -simworkers 2           # metro on 2 workers
 //	neutsim -hosts 1000 -metrics :0             # metro + /metrics, /stream, pprof
-//	neutsim -arms -flows 8 -duration 2s -seed 7 # arms race, 8 flows/class
-//	neutsim -audit -vantages 8 -trials 10 -seed 7 # neutrality audit
-//	neutsim -parscale -hosts 2000 -duration 500ms # E9 worker sweep
-//	neutsim -realproto -seed 7                    # E10 real protocols
-//	neutsim -backbone -metros 4 -hosts 1000 -simworkers 2  # E13 backbone
 package main
 
 import (
@@ -89,7 +47,6 @@ import (
 	"time"
 
 	"netneutral"
-	"netneutral/internal/audit"
 	"netneutral/internal/core"
 	"netneutral/internal/crypto/aesutil"
 	"netneutral/internal/e2e"
@@ -99,7 +56,6 @@ import (
 	"netneutral/internal/netem"
 	"netneutral/internal/obs"
 	"netneutral/internal/shim"
-	"netneutral/internal/trafficgen"
 	"netneutral/internal/wire"
 )
 
@@ -115,45 +71,16 @@ var (
 func main() {
 	packets := flag.Int("packets", 20, "data packets to attempt")
 	neutralize := flag.Bool("neutralize", true, "also run the neutralized phase")
-	trace := flag.String("trace", "", "flow tracing spec: \"all\" records every flow, a fraction in (0,1) samples that share of flows deterministically, 0xHEX tags one flow hash, SRC-DST[/PROTO] tags one address pair; in the Figure-1 scenario any non-empty value prints each packet crossing the discriminatory ISP")
+	trace := flag.String("trace", "", "flow tracing spec: \"all\" records every flow, a fraction in (0,1] samples that share of flows deterministically, 0xHEX tags one flow hash, SRC-DST[/PROTO] tags one address pair; in the Figure-1 scenario any non-empty value prints each packet crossing the discriminatory ISP")
 	traceOut := flag.String("traceout", "", "write the metro run's traced spans as Chrome trace-event JSON (load in Perfetto or chrome://tracing) to this file")
 	seed := flag.Int64("seed", 1, "seed threaded to every RNG (simulator, policies, jitter, identities)")
 	hosts := flag.Int("hosts", 0, "run the metro-scale scenario with this many customer hosts (0 = Figure-1 narration)")
-	arms := flag.Bool("arms", false, "run the E7 arms-race scenario (dpi adversary vs cloaking)")
-	flows := flag.Int("flows", 25, "arms race: flows per application class")
-	auditFlag := flag.Bool("audit", false, "run the E8 neutrality audit (differential probing vs stealthy throttling)")
-	parscale := flag.Bool("parscale", false, "run the E9 parallel-scaling sweep (worker counts 1/2/4, bit-identical outcomes enforced)")
-	backbone := flag.Bool("backbone", false, "run the E13 continental backbone (-metros fan-outs of -hosts customers each through a transit core, fluid background load, worker-identity sweep)")
-	metros := flag.Int("metros", 6, "backbone: metro count")
-	realproto := flag.Bool("realproto", false, "run the E10 real-protocol scenario (dns + net/http over simnet vs dpi and audit)")
-	simWorkers := flag.Int("simworkers", 1, "threads executing the sharded metro/audit engine (results are identical at any value)")
-	vantages := flag.Int("vantages", 12, "audit: outside vantage points (inside reference vantages scale as 1/3)")
-	trials := flag.Int("trials", 12, "audit: paired measurement trials per vantage")
-	duration := flag.Duration("duration", 2*time.Second, "simulated traffic duration for the metro/arms scenarios")
+	simWorkers := flag.Int("simworkers", 1, "threads executing the sharded metro engine (results are identical at any value)")
+	duration := flag.Duration("duration", 2*time.Second, "simulated traffic duration for the metro scenario")
 	metricsAddr := flag.String("metrics", "", "serve /metrics, /metrics.json, /stream, /flight.json and /debug/pprof on this address during the metro run (\":0\" picks a port; bound address is printed)")
 	metricsHold := flag.Duration("metricshold", 5*time.Second, "keep the -metrics server up this long after the run so scrapers can read the final state")
 	flag.Parse()
 
-	if *realproto {
-		runRealProto(*seed)
-		return
-	}
-	if *parscale {
-		runParScale(*hosts, *seed, *duration)
-		return
-	}
-	if *backbone {
-		runBackbone(*metros, *hosts, *seed, *duration, *simWorkers)
-		return
-	}
-	if *auditFlag {
-		runAudit(*vantages, *trials, *seed, *simWorkers)
-		return
-	}
-	if *arms {
-		runArms(*flows, *seed, *duration)
-		return
-	}
 	if *hosts > 0 {
 		runMetro(*hosts, *seed, *duration, *simWorkers, *metricsAddr, *metricsHold, *trace, *traceOut)
 		return
@@ -179,73 +106,6 @@ func main() {
 	fmt.Println("the ISP can degrade the supportive ISP's traffic as a whole, but cannot single out the customer")
 }
 
-// runAudit drives the E8 audit matrix and narrates the detection
-// ladder; any failed verdict (see eval.RunAudit) exits non-zero.
-func runAudit(vantages, trials int, seed int64, workers int) {
-	inside := vantages / 3
-	if inside < 1 {
-		inside = 1
-	}
-	fmt.Printf("== neutrality audit: %d outside + %d inside vantages, %d paired trials each, %d sim worker(s) ==\n",
-		vantages, inside, trials, workers)
-	st, err := eval.RunAudit(eval.AuditConfig{
-		Vantages: vantages, InsideVantages: inside, Trials: trials, Seed: seed, Workers: workers,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	cell := func(i eval.AuditISP, m eval.ArmsMode, s audit.Strategy) *eval.AuditCell {
-		return st.Cell(i, m, s)
-	}
-	dpiInt := cell(eval.ISPDPI, eval.ModeEncrypted, audit.StrategyInterleaved)
-	portPlain := cell(eval.ISPPortRule, eval.ModePlaintext, audit.StrategyInterleaved)
-	portEnc := cell(eval.ISPPortRule, eval.ModeEncrypted, audit.StrategyInterleaved)
-	stealth := cell(eval.ISPDPIStealth, eval.ModeEncrypted, audit.StrategyInterleaved)
-	evNaive := cell(eval.ISPDPIEvasion, eval.ModeEncrypted, audit.StrategyNaive)
-	evInt := cell(eval.ISPDPIEvasion, eval.ModeEncrypted, audit.StrategyInterleaved)
-	fmt.Printf("neutral ISP          false-positive rate %4.1f%%  (every mode, strategy, vantage class)\n",
-		100*st.FalsePositiveRate())
-	fmt.Printf("port rule  plaintext power %3.0f%%  (rule fires on the app port: audit convicts)\n",
-		100*portPlain.Summary.Power)
-	fmt.Printf("port rule  encrypted power %3.0f%%  (nothing to detect: encryption restored neutrality)\n",
-		100*portEnc.Summary.Power)
-	fmt.Printf("dpi        encrypted power %3.0f%%, localized %s  (suspect goodput %.0f%% vs control %.0f%%)\n",
-		100*dpiInt.Summary.Power, dpiInt.Summary.Localized,
-		100*dpiInt.SuspectGoodput, 100*dpiInt.ControlGoodput)
-	fmt.Printf("dpi+stealth          power %3.0f%%, aggregate convicts: %v  (partial+duty dilutes single vantages)\n",
-		100*stealth.Summary.Power, stealth.Summary.Discriminating)
-	fmt.Printf("dpi+evasion  naive   power %3.0f%%  (young-flow whitelist defeats burst probing)\n",
-		100*evNaive.Summary.Power)
-	fmt.Printf("dpi+evasion  interleaved power %3.0f%%  (long-lived app-shaped probes age past it)\n",
-		100*evInt.Summary.Power)
-}
-
-// runArms drives the E7 arms-race matrix and narrates the ladder; any
-// failed verdict (see eval.RunArms) exits non-zero.
-func runArms(flowsPerClass int, seed int64, duration time.Duration) {
-	nFlows := trafficgen.NumApps * flowsPerClass
-	fmt.Printf("== arms race: %d app-shaped flows vs port rules and statistical dpi ==\n", nFlows)
-	st, err := eval.RunArms(eval.ArmsConfig{FlowsPerClass: flowsPerClass, Seed: seed, Duration: duration})
-	if err != nil {
-		log.Fatal(err)
-	}
-	voip := int(trafficgen.AppVoIP)
-	pp := st.Cell(eval.ModePlaintext, eval.AdvPortRule)
-	pe := st.Cell(eval.ModeEncrypted, eval.AdvPortRule)
-	de := st.Cell(eval.ModeEncrypted, eval.AdvDPI)
-	dc := st.Cell(eval.ModeCloaked, eval.AdvDPI)
-	fmt.Printf("port rule   plaintext    voip goodput %3.0f%%  (%d port matches: the strawman works)\n",
-		100*pp.Goodput[voip], pp.PortHits)
-	fmt.Printf("port rule   encrypted    voip goodput %3.0f%%  (%d matches: the paper's claim holds)\n",
-		100*pe.Goodput[voip], pe.PortHits)
-	fmt.Printf("dpi         encrypted    accuracy %3.0f%%, voip goodput %3.0f%%  (encryption alone is not enough)\n",
-		100*de.Accuracy, 100*de.Goodput[voip])
-	fmt.Printf("dpi         +cloak       accuracy %3.0f%%, voip goodput %3.0f%%  (fingerprint erased)\n",
-		100*dc.Accuracy, 100*dc.Goodput[voip])
-	fmt.Printf("cloak cost  %.1fx wire bytes per real byte, +%v mean frame latency\n",
-		dc.CloakOverhead, dc.CloakDelay.Round(time.Millisecond))
-}
-
 // runMetro drives the metro-scale fan-out scenario and narrates the
 // engine-level numbers. With metricsAddr set it mounts the full export
 // surface on the run's registry: a Recorder publishing a merged
@@ -256,7 +116,7 @@ func runArms(flowsPerClass int, seed int64, duration time.Duration) {
 // as Chrome trace-event JSON after the run.
 func runMetro(hosts int, seed int64, duration time.Duration, workers int, metricsAddr string, hold time.Duration, traceSpec, traceOut string) {
 	fmt.Printf("== metro scale: %d customers behind one neutralizer domain, %d sim worker(s) ==\n", hosts, workers)
-	cfg := eval.MetroConfig{Hosts: hosts, Seed: seed, Duration: duration, Workers: workers}
+	cfg := eval.MetroConfig{Hosts: hosts, Seed: seed, Duration: duration}
 	var fr *obs.FlightRecorder
 	if traceSpec != "" {
 		fcfg, tags, err := parseFlowSpec(traceSpec)
@@ -301,7 +161,7 @@ func runMetro(hosts int, seed int64, duration time.Duration, workers int, metric
 			}()
 		}
 	}
-	st, err := eval.RunMetro(cfg)
+	st, err := eval.RunMetro(cfg, workers)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -336,35 +196,6 @@ func runMetro(hosts int, seed int64, duration time.Duration, workers int, metric
 	}
 }
 
-// runRealProto drives the E10 real-protocol scenario and narrates it;
-// any failed self-check (eval.RealProtoStats.Enforce) exits non-zero.
-// The narration depends only on -seed, so two runs byte-diff clean.
-func runRealProto(seed int64) {
-	fmt.Println("== real protocols over the sim: blocking dns + unmodified net/http ==")
-	st, err := eval.RunRealProto(eval.RealProtoConfig{Seed: seed})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := st.Enforce(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("dns         plain rtt %v, encrypted rtt %v  (blocking client, exact virtual latency)\n",
-		st.DNS.PlainRTT, st.DNS.EncRTT)
-	fmt.Printf("dns         nxdomain surfaced: %v; dead-port read deadline fired: %v\n",
-		st.DNS.NXDomainOK, st.DNS.TimeoutOK)
-	fmt.Printf("http        %d/%d keep-alive requests ok through shim conduits, mean rtt %v\n",
-		st.HTTP.OK, st.HTTP.Want, st.HTTP.MeanRTT.Round(time.Microsecond))
-	fmt.Printf("dpi tap     %d client flows observed at transit; classified as {%s} — never voip, never the customer\n",
-		st.HTTP.Flows, st.HTTP.ClassHist())
-	fmt.Printf("audit       clean path discriminated=%v  (%d trials of real request latency)\n",
-		st.Neutral.Discriminated, st.Neutral.Trials)
-	fmt.Printf("audit       20ms targeted throttle discriminated=%v  (delay gap %.1fx, MW p=%.2g)\n",
-		st.Throttled.Discriminated, st.Throttled.DelayGap, st.Throttled.DelayMW.P)
-	fmt.Printf("trace       %d journeys attributed exactly; %d throttled journeys carry 20ms rule-caused delay each\n",
-		st.NeutralTrace.Journeys+st.ThrottledTrace.Journeys, st.ThrottledTrace.Throttled)
-	fmt.Println("determinism verified per seed: simnet parks real goroutines and replays bit-identically")
-}
-
 // parseFlowSpec interprets the -trace flowspec for the metro scenario:
 //
 //	all              record every event of every flow
@@ -382,6 +213,8 @@ func parseFlowSpec(spec string) (obs.FlightConfig, []uint64, error) {
 	// Tracing rings are sized generously: the spec asks for specific
 	// flows end to end, so give them room before eviction clips spans.
 	cfg := obs.FlightConfig{RingSize: 1 << 14}
+	bad := fmt.Errorf("neutsim: -trace %q: want \"all\", a fraction in (0,1], 0xHEX, or SRC-DST[/PROTO]", spec)
+	frac, fracErr := strconv.ParseFloat(spec, 64)
 	switch {
 	case spec == "all":
 		cfg.SampleFlows = 1
@@ -392,6 +225,13 @@ func parseFlowSpec(spec string) (obs.FlightConfig, []uint64, error) {
 			return cfg, nil, fmt.Errorf("neutsim: -trace %q: bad flow hash: %v", spec, err)
 		}
 		return cfg, []uint64{id}, nil
+	case fracErr == nil:
+		// NaN fails every comparison: test membership, not exclusion.
+		if !(frac > 0 && frac <= 1) {
+			return cfg, nil, bad
+		}
+		cfg.SampleFlows = frac
+		return cfg, nil, nil
 	case strings.Contains(spec, "-"):
 		pair, protoStr, hasProto := strings.Cut(spec, "/")
 		proto := uint64(wire.ProtoUDP)
@@ -416,77 +256,8 @@ func parseFlowSpec(spec string) (obs.FlightConfig, []uint64, error) {
 		}
 		return cfg, []uint64{netem.FlowKeyHash(key)}, nil
 	default:
-		frac, err := strconv.ParseFloat(spec, 64)
-		if err != nil || frac <= 0 || frac > 1 {
-			return cfg, nil, fmt.Errorf("neutsim: -trace %q: want \"all\", a fraction in (0,1], 0xHEX, or SRC-DST[/PROTO]", spec)
-		}
-		cfg.SampleFlows = frac
-		return cfg, nil, nil
+		return cfg, nil, bad
 	}
-}
-
-// runBackbone drives the E13 continental scenario: an identity sweep
-// over worker counts {1, workers}; eval.RunBackboneIdentity exits
-// non-zero (via log.Fatal) on any determinism violation, misdelivery,
-// or classifier hit. Everything printed to stdout is a pure function of
-// the flags, so CI byte-diffs two runs; wall-clock figures go to stderr.
-func runBackbone(metros, hostsPerMetro int, seed int64, duration time.Duration, workers int) {
-	if hostsPerMetro <= 0 {
-		hostsPerMetro = 1000
-	}
-	sweep := []int{1}
-	if workers > 1 {
-		sweep = append(sweep, workers)
-	}
-	fmt.Printf("== continental backbone: %d metros x %d customers, worker sweep %v ==\n",
-		metros, hostsPerMetro, sweep)
-	runs, err := eval.RunBackboneIdentity(eval.BackboneConfig{
-		Metros: metros, HostsPerMetro: hostsPerMetro, Seed: seed,
-		Duration: duration, Observe: true,
-	}, sweep)
-	if err != nil {
-		log.Fatal(err)
-	}
-	st := runs[0]
-	fmt.Printf("topology        %d customers across %d shards, prefix-compressed FIBs (core holds %d routes)\n",
-		st.Hosts, st.Shards, 3*st.Metros)
-	fmt.Printf("traffic         %d neutralized + %d plain cross-metro packets over %v simulated\n",
-		st.NeutSent, st.CrossSent, duration)
-	fmt.Printf("delivered       %d/%d (dropped %d)\n",
-		st.Delivered, st.NeutSent+st.CrossSent, st.Dropped)
-	fmt.Printf("classifier hits %d — the core cannot single out a customer\n", st.ClassifierHits)
-	fmt.Printf("fluid           %d background bytes accounted in %d rate ticks, zero packet events\n",
-		st.FluidBytes, st.FluidTicks)
-	fmt.Printf("engine          %d sim events per run\n", st.SimEvents)
-	fmt.Printf("determinism     verified: identical outcomes (incl. fluid + observation digest) at worker counts %v\n", sweep)
-	for _, r := range runs {
-		fmt.Fprintf(os.Stderr, "workers=%d built in %v, ran %v wall (%.0f events/sec)\n",
-			r.Workers, r.BuildTime.Round(time.Millisecond),
-			r.RunTime.Round(time.Millisecond), r.EventsPerSec)
-	}
-}
-
-// runParScale drives the E9 worker sweep; RunParScale exits non-zero
-// (via log.Fatal) when any worker count produces a different outcome.
-func runParScale(hosts int, seed int64, duration time.Duration) {
-	if hosts <= 0 {
-		hosts = 10000
-	}
-	fmt.Printf("== parallel scaling: %d customers, worker sweep with bit-identical replay ==\n", hosts)
-	st, err := eval.RunParScale(eval.ParScaleConfig{
-		Hosts: hosts, Seed: seed, Duration: duration, Workers: []int{1, 2, 4},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	first := st.Runs[0].Stats
-	fmt.Printf("workload        %d neutralized + %d intra-subtree packets across %d shards\n",
-		first.Sent, first.LocalSent, first.Shards)
-	for _, r := range st.Runs {
-		fmt.Printf("workers=%d       %12.0f events/sec  (%.2fx of 1 worker)\n",
-			r.Workers, r.Stats.EventsPerSec, r.Speedup)
-	}
-	fmt.Println("determinism     verified: identical outcomes at every worker count")
 }
 
 func buildWorld(seed int64) (*netem.Simulator, *netem.Node, *netem.Node, *netem.Node, *netem.Node, *core.Neutralizer) {

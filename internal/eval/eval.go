@@ -3,6 +3,8 @@
 // producing printable rows of paper-vs-measured values. The harness is
 // shared by cmd/neutbench (which prints the rows) and the top-level
 // benchmark suite (which re-measures the micro numbers under testing.B).
+// The scenario experiments (E6-E10, E13) share one determinism contract,
+// described in contract.go.
 //
 // See README.md ("Reproducing the paper's numbers") for the experiment
 // index; BENCH_*.json snapshots record measured results per PR.
@@ -40,18 +42,34 @@ type Result struct {
 	ID    string
 	Title string
 	Rows  []Row
+	// Wall holds the rows whose values depend on wall-clock time
+	// (rates, build and run times). neutbench prints them on stderr, so
+	// a scenario experiment's stdout replays byte for byte.
+	Wall []Row
+	// sweep is a scenario experiment's *sweep[O] (nil otherwise).
+	sweep any
 }
 
-// String renders the result as an aligned table.
-func (r *Result) String() string {
+// String renders the deterministic rows as an aligned table.
+func (r *Result) String() string { return renderRows(r.ID+" — "+r.Title, r.Rows) }
+
+// WallString renders the wall-clock rows, or "" when there are none.
+func (r *Result) WallString() string {
+	if len(r.Wall) == 0 {
+		return ""
+	}
+	return renderRows(r.ID+" — wall clock", r.Wall)
+}
+
+func renderRows(header string, rows []Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", r.ID, r.Title)
+	b.WriteString(header + "\n")
 	w1, w2, w3 := len("metric"), len("paper"), len("measured")
-	for _, row := range r.Rows {
+	for _, row := range rows {
 		w1, w2, w3 = max(w1, len(row.Metric)), max(w2, len(row.Paper)), max(w3, len(row.Measured))
 	}
 	fmt.Fprintf(&b, "  %-*s  %-*s  %-*s  %s\n", w1, "metric", w2, "paper", w3, "measured", "note")
-	for _, row := range r.Rows {
+	for _, row := range rows {
 		fmt.Fprintf(&b, "  %-*s  %-*s  %-*s  %s\n", w1, row.Metric, w2, row.Paper, w3, row.Measured, row.Note)
 	}
 	return b.String()
@@ -62,32 +80,35 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func() (*Result, error)
+	// Reduced runs a scenario experiment's reduced config, the size
+	// tests and CI use (nil for the other experiments).
+	Reduced func() (*Result, error)
 }
 
 // All returns every experiment in presentation order.
 func All() []Experiment {
 	return []Experiment{
-		{"E1", "Key-setup throughput (§4: 24.4 kpps)", RunE1},
-		{"E2", "Sources served per master-key epoch (§4: 88M/hour)", RunE2},
-		{"E3", "Data path vs vanilla forwarding (§4: 422 vs 600 kpps)", RunE3},
-		{"E4", "Raw crypto operation rate (§4: 2.35M ops/s)", RunE4},
-		{"E5", "Sharded stateless data plane (anycast scaling in-process)", RunE5},
-		{"E6", "Metro-scale emulation (10k customers, one neutralizer domain)", RunE6},
-		{"E7", armsTitle, RunE7},
-		{"E8", auditTitle, RunE8},
-		{"E9", parScaleTitle, RunE9},
-		{"E10", realProtoTitle, RunE10},
-		{"E13", backboneTitle, RunE13},
-		{"F1", "Figure 1: customer indistinguishability inside a discriminatory ISP", RunF1},
-		{"F2", "Figure 2: protocol walk with eavesdropper assertions", RunF2},
-		{"A1", "§3.2 ablation: chosen key setup vs certified-pubkey alternative", RunA1},
-		{"A2", "§3.2 ablation: offloading RSA work to customers", RunA2},
-		{"A3", "§5: neutralizer vs onion-routing baseline", RunA3},
-		{"A4", "§1 motivation: targeted VoIP degradation and the neutralizer cure", RunA4},
-		{"A5", "§3.6: key-setup flood and pushback", RunA5},
-		{"A6", "§3.5: multi-homed neutralizer selection strategies", RunA6},
-		{"A7", "§3.1: DNS bootstrap under query discrimination", RunA7},
-		{"A8", "§3.4: tiered service and guaranteed service coexistence", RunA8},
+		{ID: "E1", Title: "Key-setup throughput (§4: 24.4 kpps)", Run: RunE1},
+		{ID: "E2", Title: "Sources served per master-key epoch (§4: 88M/hour)", Run: RunE2},
+		{ID: "E3", Title: "Data path vs vanilla forwarding (§4: 422 vs 600 kpps)", Run: RunE3},
+		{ID: "E4", Title: "Raw crypto operation rate (§4: 2.35M ops/s)", Run: RunE4},
+		{ID: "E5", Title: "Sharded stateless data plane (anycast scaling in-process)", Run: RunE5},
+		scenario("E6", metroTitle, e6Result, e6Full, e6Reduced),
+		scenario("E7", armsTitle, e7Result, e7Full, e7Reduced),
+		scenario("E8", auditTitle, e8Result, e8Full, e8Reduced),
+		scenario("E9", parScaleTitle, e9Result, e9Full, e9Reduced),
+		scenario("E10", realProtoTitle, e10Result, e10Full, e10Reduced),
+		scenario("E13", backboneTitle, e13Result, e13Full, e13Reduced),
+		{ID: "F1", Title: "Figure 1: customer indistinguishability inside a discriminatory ISP", Run: RunF1},
+		{ID: "F2", Title: "Figure 2: protocol walk with eavesdropper assertions", Run: RunF2},
+		{ID: "A1", Title: "§3.2 ablation: chosen key setup vs certified-pubkey alternative", Run: RunA1},
+		{ID: "A2", Title: "§3.2 ablation: offloading RSA work to customers", Run: RunA2},
+		{ID: "A3", Title: "§5: neutralizer vs onion-routing baseline", Run: RunA3},
+		{ID: "A4", Title: "§1 motivation: targeted VoIP degradation and the neutralizer cure", Run: RunA4},
+		{ID: "A5", Title: "§3.6: key-setup flood and pushback", Run: RunA5},
+		{ID: "A6", Title: "§3.5: multi-homed neutralizer selection strategies", Run: RunA6},
+		{ID: "A7", Title: "§3.1: DNS bootstrap under query discrimination", Run: RunA7},
+		{ID: "A8", Title: "§3.4: tiered service and guaranteed service coexistence", Run: RunA8},
 	}
 }
 

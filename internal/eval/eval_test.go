@@ -322,7 +322,7 @@ func TestBenchEnvPacketsValid(t *testing.T) {
 // default test run (and -race) stays fast; TestE6FullScale runs the
 // registered 10k-host experiment.
 func TestE6MetroSmall(t *testing.T) {
-	st, err := RunMetro(MetroConfig{Hosts: 1200, Seed: 3, Duration: 200 * time.Millisecond, RatePps: 20000})
+	st, err := RunMetro(MetroConfig{Hosts: 1200, Seed: 3, Duration: 200 * time.Millisecond, RatePps: 20000}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,6 +339,20 @@ func TestE6MetroSmall(t *testing.T) {
 	if st.PoolAllocated*10 > st.PoolGets {
 		t.Errorf("pool allocated %d for %d gets: recycling broken", st.PoolAllocated, st.PoolGets)
 	}
+}
+
+// TestE9ParScaleReduced checks that the reduced E9 sweep
+// (TestExperimentIdentity compares its runs) drove both load components
+// through the sharded plan with observation attached.
+func TestE9ParScaleReduced(t *testing.T) {
+	st := reducedSweep[*MetroStats](t, "E9").first()
+	if st.LocalSent == 0 || st.Sent == 0 {
+		t.Fatalf("degenerate workload: sent=%d local=%d", st.Sent, st.LocalSent)
+	}
+	if st.Shards < 4 {
+		t.Fatalf("shards = %d, want the sharded fan-out plan", st.Shards)
+	}
+	requireObserved(t, st.Obs)
 }
 
 func TestE6FullScale(t *testing.T) {

@@ -98,6 +98,9 @@ type ArmsConfig struct {
 	Seed int64
 	// Duration is simulated traffic time per cell (default 5s).
 	Duration time.Duration
+	// Workers lists the identity sweep's runs. E7 runs on one simulator
+	// thread, so each entry is one same-seed replay.
+	Workers []int
 }
 
 func (c *ArmsConfig) fill() {
@@ -108,6 +111,12 @@ func (c *ArmsConfig) fill() {
 		c.Duration = 5 * time.Second
 	}
 }
+
+// E7's configs: the registered scale, and the reduced one replayed.
+var (
+	e7Full    = ArmsConfig{Seed: 7, Workers: []int{1}}
+	e7Reduced = ArmsConfig{FlowsPerClass: 8, Seed: 7, Duration: 2 * time.Second, Workers: []int{1, 1}}
+)
 
 // armsCloakConfig is the E7 cloak setting: maximal cloaking — one size
 // bucket, a 2.5ms tick (above every app's peak rate), cover traffic on.
@@ -143,7 +152,6 @@ type ArmsCell struct {
 
 // ArmsStats is the full E7 outcome.
 type ArmsStats struct {
-	Cfg   ArmsConfig
 	Cells []ArmsCell
 	// TrainedFlows is the calibration population behind the classifier.
 	TrainedFlows int
@@ -437,7 +445,7 @@ func armsSamples(cfg ArmsConfig, mode ArmsMode, salt int64) ([]dpi.Sample, *arms
 // measures every (mode, adversary) cell with held-out seeds.
 func RunArms(cfg ArmsConfig) (*ArmsStats, error) {
 	cfg.fill()
-	st := &ArmsStats{Cfg: cfg}
+	st := &ArmsStats{}
 
 	// Calibration: encrypted traffic, passive tap, training labels from
 	// the known flow->class assignment.
@@ -507,12 +515,12 @@ func verifyArms(st *ArmsStats) error {
 	return nil
 }
 
-// RunE7 is the registered arms-race experiment.
-func RunE7() (*Result, error) {
-	st, err := RunArms(ArmsConfig{Seed: 7})
+func e7Result(cfg ArmsConfig) (*Result, error) {
+	sw, err := runSweep(cfg.Workers, func(int) (*ArmsStats, error) { return RunArms(cfg) })
 	if err != nil {
 		return nil, err
 	}
+	st := sw.first()
 	voip, video := int(trafficgen.AppVoIP), int(trafficgen.AppVideo)
 	pp := st.Cell(ModePlaintext, AdvPortRule)
 	pe := st.Cell(ModeEncrypted, AdvPortRule)
@@ -548,7 +556,7 @@ func RunE7() (*Result, error) {
 			Measured: fmt.Sprintf("%.1fx", dc.CloakOverhead),
 			Note:     fmt.Sprintf("+%v mean latency per frame", dc.CloakDelay.Round(time.Millisecond))},
 	}
-	return &Result{ID: "E7", Title: armsTitle, Rows: rows}, nil
+	return sw.result(rows, nil), nil
 }
 
 const armsTitle = "Arms race: statistical DPI vs cloaking at fan-out scale"

@@ -2,19 +2,16 @@ package eval
 
 import (
 	"testing"
-	"time"
 
 	"netneutral/internal/trafficgen"
 )
 
-// TestE7ArmsReduced runs the arms race at reduced scale so the default
-// test run (and -race) stays fast; every rung of the ladder must hold
-// at this scale too, since CI's smoke step runs it this size.
+// TestE7ArmsReduced checks the ladder on the reduced config, the size
+// the default test run (and -race) and CI use; RunArms self-verifies
+// every rung, and the headline ones are re-asserted so a failure names
+// the broken rung.
 func TestE7ArmsReduced(t *testing.T) {
-	st, err := RunArms(ArmsConfig{FlowsPerClass: 8, Seed: 7, Duration: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := reducedSweep[*ArmsStats](t, "E7").first()
 	voip := int(trafficgen.AppVoIP)
 
 	pe := st.Cell(ModeEncrypted, AdvPortRule)

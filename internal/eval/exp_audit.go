@@ -98,10 +98,9 @@ type AuditConfig struct {
 	NaivePackets int
 	// Seed drives every RNG in the experiment.
 	Seed int64
-	// Workers is how many threads execute each cell's sharded engine
-	// (default 1; the audit outcome — report wire bytes included — is
-	// bit-identical at every value).
-	Workers int
+	// Workers lists the thread counts of the identity sweep; each cell's
+	// sharded engine runs on that many threads.
+	Workers []int
 	// Observe attaches the observability plane to every cell: the
 	// engine's Recorder + FlightRecorder, each prober's counter families
 	// (audit_probe_*_total) and the aggregate verdict tallies
@@ -126,10 +125,15 @@ func (c *AuditConfig) fill() {
 	if c.NaivePackets <= 0 {
 		c.NaivePackets = 64
 	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
 }
+
+// E8's configs. The reduced one runs observed at workers 1 and 4, then
+// replays workers 1 with the same seed.
+var (
+	e8Full    = AuditConfig{Seed: 8, Workers: []int{1}}
+	e8Reduced = AuditConfig{Seed: 11, Vantages: 4, InsideVantages: 2, Trials: 8,
+		Observe: true, Workers: []int{1, 4, 1}}
+)
 
 // suspectPort/controlPort are the plaintext probe ports: the suspect
 // imitates the targeted app down to its canonical port; the control
@@ -161,7 +165,6 @@ type AuditCell struct {
 
 // AuditStats is the full E8 outcome.
 type AuditStats struct {
-	Cfg   AuditConfig
 	Cells []AuditCell
 	// TrainedFlows is the calibration population behind the dpi
 	// adversaries' classifier.
@@ -202,7 +205,7 @@ func auditPolicy(kind AuditISP, naivePkts int) dpi.Policy {
 
 // runAuditCell builds one fan-out world, runs every vantage's paired
 // probe, and aggregates the wire-encoded reports.
-func runAuditCell(cfg AuditConfig, kind AuditISP, mode ArmsMode, strat audit.Strategy, cls *dpi.Classifier, salt int64) (*AuditCell, error) {
+func runAuditCell(cfg AuditConfig, workers int, kind AuditISP, mode ArmsMode, strat audit.Strategy, cls *dpi.Classifier, salt int64) (*AuditCell, error) {
 	V, I, T := cfg.Vantages, cfg.InsideVantages, cfg.Trials
 
 	// Node plan. Outside sources: one per (vantage, role) for the
@@ -251,10 +254,14 @@ func runAuditCell(cfg AuditConfig, kind AuditISP, mode ArmsMode, strat audit.Str
 		return nil, err
 	}
 	sim, f := env.Sim, env.Fan
-	sim.SetWorkers(cfg.Workers)
+	sim.SetWorkers(workers)
 	var o *observation
 	if cfg.Observe {
-		o = attachObservation(sim)
+		// A cell spans a one-second window per trial: sampling every
+		// 10 ms lets the 512-point rings cover seconds of it (at 1 ms
+		// they would keep only the last half second) at a tenth of the
+		// tick cost.
+		o = attachObservation(sim, 10*time.Millisecond)
 	}
 	if mode != ModePlaintext {
 		if err := env.attachNeutralizer(); err != nil {
@@ -532,11 +539,12 @@ func auditProbePayload(pkt []byte) []byte {
 	return nil
 }
 
-// RunAudit trains the dpi adversaries' classifier, sweeps the full
-// (ISP x mode x strategy) matrix, and enforces the E8 verdicts.
-func RunAudit(cfg AuditConfig) (*AuditStats, error) {
+// RunAudit trains the dpi adversaries' classifier, runs the full
+// (ISP x mode x strategy) matrix with each cell's engine on the given
+// number of worker threads, and enforces the E8 verdicts.
+func RunAudit(cfg AuditConfig, workers int) (*AuditStats, error) {
 	cfg.fill()
-	st := &AuditStats{Cfg: cfg}
+	st := &AuditStats{}
 
 	// The dpi adversaries share one classifier, trained the same way
 	// E7's is: a passive labeled calibration run of encrypted
@@ -555,7 +563,7 @@ func RunAudit(cfg AuditConfig) (*AuditStats, error) {
 	for kind := ISPNeutral; kind < NumAuditISPs; kind++ {
 		for _, mode := range []ArmsMode{ModePlaintext, ModeEncrypted} {
 			for _, strat := range []audit.Strategy{audit.StrategyNaive, audit.StrategyInterleaved} {
-				cell, err := runAuditCell(cfg, kind, mode, strat, cls, salt)
+				cell, err := runAuditCell(cfg, workers, kind, mode, strat, cls, salt)
 				if err != nil {
 					return nil, fmt.Errorf("eval: audit cell %v/%v/%v: %w", kind, mode, strat, err)
 				}
@@ -671,12 +679,13 @@ func verifyAudit(st *AuditStats) error {
 	return nil
 }
 
-// RunE8 is the registered neutrality-audit experiment.
-func RunE8() (*Result, error) {
-	st, err := RunAudit(AuditConfig{Seed: 8})
+func e8Result(cfg AuditConfig) (*Result, error) {
+	sw, err := runSweep(cfg.Workers, func(w int) (*AuditStats, error) { return RunAudit(cfg, w) })
 	if err != nil {
 		return nil, err
 	}
+	st := sw.first()
+	cfg.fill()
 	dpiEncInt := st.Cell(ISPDPI, ModeEncrypted, audit.StrategyInterleaved)
 	dpiEncNaive := st.Cell(ISPDPI, ModeEncrypted, audit.StrategyNaive)
 	portPlainInt := st.Cell(ISPPortRule, ModePlaintext, audit.StrategyInterleaved)
@@ -689,8 +698,8 @@ func RunE8() (*Result, error) {
 	}
 	rows := []Row{
 		{Metric: "vantages (outside + inside)", Paper: "-",
-			Measured: fmt.Sprintf("%d + %d", st.Cfg.Vantages, st.Cfg.InsideVantages),
-			Note:     fmt.Sprintf("%d paired trials each; dpi classifier trained on %d calibration flows", st.Cfg.Trials, st.TrainedFlows)},
+			Measured: fmt.Sprintf("%d + %d", cfg.Vantages, cfg.InsideVantages),
+			Note:     fmt.Sprintf("%d paired trials each; dpi classifier trained on %d calibration flows", cfg.Trials, st.TrainedFlows)},
 		{Metric: "neutral ISP: false-positive rate", Paper: "<= 5%",
 			Measured: fmt.Sprintf("%.1f%%", 100*st.FalsePositiveRate()),
 			Note:     "every mode, strategy and vantage class"},
@@ -716,7 +725,7 @@ func RunE8() (*Result, error) {
 		{Metric: "probe-evading dpi vs interleaved probes: power", Paper: ">= 90%",
 			Measured: pow(evEncInt), Note: "long-lived app-shaped flows age past the whitelist: the headline result"},
 	}
-	return &Result{ID: "E8", Title: auditTitle, Rows: rows}, nil
+	return sw.result(rows, nil), nil
 }
 
 const auditTitle = "Neutrality audit: differential probing vs stealthy throttling"
@@ -740,7 +749,7 @@ type AuditBench struct {
 // NewAuditBench runs the reduced audit matrix once and extracts the
 // fixture.
 func NewAuditBench() (*AuditBench, error) {
-	st, err := RunAudit(AuditConfig{Seed: 7, Vantages: 8, InsideVantages: 2, Trials: 10})
+	st, err := RunAudit(AuditConfig{Seed: 7, Vantages: 8, InsideVantages: 2, Trials: 10}, 1)
 	if err != nil {
 		return nil, err
 	}

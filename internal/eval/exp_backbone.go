@@ -19,8 +19,8 @@
 // neutralized traffic reaches; it must never fire. And the engine's
 // central contract is enforced across dozens of shards: every
 // deterministic outcome — including the fluid layer's byte accounting
-// and the full observation digest — is bit-identical at every worker
-// count.
+// and the full observation digest, which every run records — is
+// bit-identical at every worker count.
 //
 // (E11 and E12 are reserved on the ROADMAP for the adaptive arms race
 // and the economic layer; this experiment registers as E13.)
@@ -64,10 +64,8 @@ type BackboneConfig struct {
 	// FluidBpsPerEdge is the background aggregate per border↔edge link
 	// direction (default 20 Mbps on 100 Mbps edge links).
 	FluidBpsPerEdge float64
-	// Workers executes the sharded engine (default 1).
-	Workers int
-	// Observe attaches the observability plane and fills Stats.Obs.
-	Observe bool
+	// Workers lists the thread counts of the identity sweep.
+	Workers []int
 }
 
 func (c *BackboneConfig) fill() {
@@ -92,17 +90,21 @@ func (c *BackboneConfig) fill() {
 	if c.FluidBpsPerEdge == 0 {
 		c.FluidBpsPerEdge = 20e6
 	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
 }
+
+// E13's configs. The reduced one keeps the contract testable at CI
+// speed: four small metros instead of six larger ones.
+var (
+	e13Full    = BackboneConfig{Seed: 13, Workers: []int{1, 2, 4}}
+	e13Reduced = BackboneConfig{Metros: 4, HostsPerMetro: 200, Seed: 31,
+		Duration: 150 * time.Millisecond, RatePps: 4000, CrossPps: 2000, Workers: []int{1, 2, 4}}
+)
 
 // BackboneStats is the outcome of one continental run.
 type BackboneStats struct {
-	Metros  int
-	Hosts   int // total customer hosts
-	Shards  int
-	Workers int
+	Metros int
+	Hosts  int // total customer hosts
+	Shards int
 
 	NeutSent       int // neutralized cross-backbone packets
 	CrossSent      int // plain cross-metro probe packets
@@ -115,24 +117,10 @@ type BackboneStats struct {
 	FluidTicks     uint64
 	PoolGets       uint64
 
-	BuildTime    time.Duration
-	RunTime      time.Duration
-	EventsPerSec float64
+	BuildTime    time.Duration `identity:"-"`
+	RunTime      time.Duration `identity:"-"`
+	EventsPerSec float64       `identity:"-"`
 	Obs          *ObsDigest
-}
-
-// backboneIdentityKey is the deterministic outcome a backbone run must
-// reproduce exactly at every worker count — the E9 contract extended
-// with the fluid layer's accounting and the observation digest.
-func backboneIdentityKey(st *BackboneStats) [14]uint64 {
-	k := [14]uint64{
-		uint64(st.NeutSent), uint64(st.CrossSent), st.Delivered, st.Forwarded,
-		st.Dropped, st.ClassifierHits, st.SimEvents, st.FluidBytes,
-		st.FluidTicks, st.PoolGets,
-	}
-	ok := st.Obs.key()
-	copy(k[10:], ok[:])
-	return k
 }
 
 // backboneWorld is the built substrate shared by RunBackbone and the
@@ -160,7 +148,7 @@ func backboneLinks(spec *netem.BackboneSpec) {
 	spec.OutsideLink = netem.LinkConfig{Delay: time.Millisecond}
 }
 
-func buildBackboneWorld(cfg BackboneConfig) (*backboneWorld, error) {
+func buildBackboneWorld(cfg BackboneConfig, workers int) (*backboneWorld, error) {
 	if cfg.CrossFlows >= cfg.HostsPerMetro-1 {
 		return nil, fmt.Errorf("eval: %d cross flows need at least %d hosts per metro",
 			cfg.CrossFlows, cfg.CrossFlows+2)
@@ -177,7 +165,7 @@ func buildBackboneWorld(cfg BackboneConfig) (*backboneWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim.SetWorkers(cfg.Workers)
+	sim.SetWorkers(workers)
 
 	// One master-key schedule serves every metro's neutralizer — the
 	// paper's single supportive operator running a continental anycast
@@ -242,20 +230,18 @@ func buildBackboneWorld(cfg BackboneConfig) (*backboneWorld, error) {
 	return w, nil
 }
 
-// RunBackbone builds the continental world and drives all three traffic
-// planes for cfg.Duration of virtual time.
-func RunBackbone(cfg BackboneConfig) (*BackboneStats, error) {
+// RunBackbone builds the continental world on the given number of
+// worker threads, attaches the observability plane, and drives all
+// three traffic planes for cfg.Duration of virtual time.
+func RunBackbone(cfg BackboneConfig, workers int) (*BackboneStats, error) {
 	cfg.fill()
 	buildStart := time.Now()
-	w, err := buildBackboneWorld(cfg)
+	w, err := buildBackboneWorld(cfg, workers)
 	if err != nil {
 		return nil, err
 	}
 	sim, bb := w.sim, w.bb
-	var o *observation
-	if cfg.Observe {
-		o = attachObservation(sim)
-	}
+	o := attachObservation(sim, time.Millisecond)
 
 	// The core tries to target a customer by address. Only neutralized
 	// traffic reaches the classifier's target (the cross-metro probes use
@@ -269,8 +255,7 @@ func RunBackbone(cfg BackboneConfig) (*BackboneStats, error) {
 
 	st := &BackboneStats{
 		Metros: cfg.Metros, Hosts: cfg.Metros * cfg.HostsPerMetro,
-		Shards: sim.ShardCount(), Workers: cfg.Workers,
-		BuildTime: time.Since(buildStart),
+		Shards: sim.ShardCount(), BuildTime: time.Since(buildStart),
 	}
 	var tallies []*netem.DeliveryCount
 	for _, f := range bb.Metros {
@@ -301,10 +286,8 @@ func RunBackbone(cfg BackboneConfig) (*BackboneStats, error) {
 	st.SimEvents = sim.EventsProcessed()
 	st.FluidBytes, st.FluidTicks = sim.FluidTotals()
 	_, st.PoolGets = sim.PoolStats()
-	if o != nil {
-		d := o.digest()
-		st.Obs = &d
-	}
+	d := o.digest()
+	st.Obs = &d
 	if sec := st.RunTime.Seconds(); sec > 0 {
 		st.EventsPerSec = float64(st.SimEvents) / sec
 	}
@@ -323,70 +306,38 @@ func RunBackbone(cfg BackboneConfig) (*BackboneStats, error) {
 	return st, nil
 }
 
-// RunBackboneIdentity sweeps worker counts over the identical seeded
-// backbone scenario and enforces bit-identical outcomes (the E6/E8/E9
-// ObsDigest identity contract, extended to dozens of shards and the
-// fluid layer).
-func RunBackboneIdentity(cfg BackboneConfig, workers []int) ([]*BackboneStats, error) {
-	var out []*BackboneStats
-	var base *BackboneStats
-	for _, wk := range workers {
-		cfg.Workers = wk
-		st, err := RunBackbone(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("eval: backbone workers=%d: %w", wk, err)
-		}
-		if base == nil {
-			base = st
-		} else if backboneIdentityKey(st) != backboneIdentityKey(base) {
-			return nil, fmt.Errorf(
-				"eval: backbone determinism violated: workers=%d outcome %v != workers=%d outcome %v",
-				wk, backboneIdentityKey(st), base.Workers, backboneIdentityKey(base))
-		}
-		out = append(out, st)
-	}
-	return out, nil
-}
-
-// RunE13 is the registered continental-scale experiment.
-func RunE13() (*Result, error) {
-	runs, err := RunBackboneIdentity(BackboneConfig{Seed: 13, Observe: true}, []int{1, 2, 4})
+func e13Result(cfg BackboneConfig) (*Result, error) {
+	sw, err := runSweep(cfg.Workers, func(w int) (*BackboneStats, error) { return RunBackbone(cfg, w) })
 	if err != nil {
 		return nil, err
 	}
-	st := runs[0]
-	res := &Result{ID: "E13", Title: backboneTitle}
-	res.Rows = append(res.Rows,
-		Row{Metric: "topology", Paper: "-",
+	st := sw.first()
+	rows := []Row{
+		{Metric: "topology", Paper: "-",
 			Measured: fmt.Sprintf("%d metros, %d hosts, %d shards", st.Metros, st.Hosts, st.Shards),
-			Note:     fmt.Sprintf("prefix-compressed FIBs, built in %v", st.BuildTime.Round(time.Millisecond))},
-		Row{Metric: "cross-backbone packets delivered", Paper: "all",
+			Note:     "prefix-compressed FIBs"},
+		{Metric: "cross-backbone packets delivered", Paper: "all",
 			Measured: fmt.Sprintf("%d/%d", st.Delivered, st.NeutSent+st.CrossSent),
 			Note:     fmt.Sprintf("%d neutralized + %d plain cross-metro", st.NeutSent, st.CrossSent)},
-		Row{Metric: "classifier hits at the core", Paper: "0",
+		{Metric: "classifier hits at the core", Paper: "0",
 			Measured: fmt.Sprintf("%d", st.ClassifierHits),
 			Note:     "address-targeting rule sees only (outside, anycast) pairs"},
-		Row{Metric: "fluid background bytes", Paper: "-",
+		{Metric: "fluid background bytes", Paper: "-",
 			Measured: fmt.Sprintf("%d", st.FluidBytes),
 			Note: fmt.Sprintf("%d rate-update ticks instead of ~%dM packet events",
 				st.FluidTicks, st.FluidBytes/1500/1_000_000)},
-	)
-	for _, r := range runs {
-		res.Rows = append(res.Rows, Row{
-			Metric:   fmt.Sprintf("events/sec at %d worker(s)", r.Workers),
+	}
+	wall := []Row{{Metric: "build time", Paper: "-", Measured: st.BuildTime.Round(time.Millisecond).String(),
+		Note: fmt.Sprintf("%d-host backbone", st.Hosts)}}
+	for _, r := range sw.runs {
+		wall = append(wall, Row{
+			Metric:   fmt.Sprintf("events/sec at %d worker(s)", r.workers),
 			Paper:    "-",
-			Measured: fmt.Sprintf("%.0f", r.EventsPerSec),
-			Note:     fmt.Sprintf("%d events in %v wall", r.SimEvents, r.RunTime.Round(time.Millisecond)),
+			Measured: fmt.Sprintf("%.0f", r.out.EventsPerSec),
+			Note:     fmt.Sprintf("%d events in %v wall", r.out.SimEvents, r.out.RunTime.Round(time.Millisecond)),
 		})
 	}
-	res.Rows = append(res.Rows, Row{
-		Metric: "determinism (observed)", Paper: "bit-identical",
-		Measured: "verified",
-		Note: fmt.Sprintf(
-			"outcome + fluid accounting + recorder rings (%d ticks) + flight samples (%d) equal at workers 1/2/4",
-			st.Obs.RecorderTicks, st.Obs.FlightSampled),
-	})
-	return res, nil
+	return sw.result(rows, wall), nil
 }
 
 const backboneTitle = "Continental backbone: multi-metro anycast with fluid background load"
@@ -401,9 +352,9 @@ type BackboneBench struct {
 
 // NewBackboneBench builds the fixture.
 func NewBackboneBench(metros, hostsPerMetro, workers int) (*BackboneBench, error) {
-	cfg := BackboneConfig{Metros: metros, HostsPerMetro: hostsPerMetro, Seed: 1, Workers: workers}
+	cfg := BackboneConfig{Metros: metros, HostsPerMetro: hostsPerMetro, Seed: 1}
 	cfg.fill()
-	w, err := buildBackboneWorld(cfg)
+	w, err := buildBackboneWorld(cfg, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -3,33 +3,13 @@ package eval
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
-// reducedBackbone keeps E13's contract testable at CI speed: four small
-// metros instead of six larger ones, with observation on so the identity
-// sweep covers the recorder rings and flight samples.
-func reducedBackbone(seed int64) BackboneConfig {
-	return BackboneConfig{
-		Metros: 4, HostsPerMetro: 200, Seed: seed,
-		Duration: 150 * time.Millisecond, RatePps: 4000, CrossPps: 2000,
-		Observe: true,
-	}
-}
-
-// TestE13BackboneReduced runs the continental worker sweep at reduced
-// scale; RunBackboneIdentity itself enforces bit-identical outcomes
-// (including fluid accounting and the observation digest) across
-// worker counts.
+// TestE13BackboneReduced checks that the reduced continental sweep
+// (TestExperimentIdentity compares its runs) exercised every traffic
+// plane and the observation plane, so its identity is not vacuous.
 func TestE13BackboneReduced(t *testing.T) {
-	runs, err := RunBackboneIdentity(reducedBackbone(31), []int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 3 {
-		t.Fatalf("runs = %d, want 3", len(runs))
-	}
-	st := runs[0]
+	st := reducedSweep[*BackboneStats](t, "E13").first()
 	if st.NeutSent == 0 || st.CrossSent == 0 {
 		t.Fatalf("degenerate workload: neut=%d cross=%d", st.NeutSent, st.CrossSent)
 	}
@@ -39,9 +19,7 @@ func TestE13BackboneReduced(t *testing.T) {
 	if st.Shards != 1+st.Metros {
 		t.Fatalf("shards = %d, want core + one per metro = %d", st.Shards, 1+st.Metros)
 	}
-	if st.Obs == nil || st.Obs.RecorderTicks == 0 || st.Obs.FlightSampled == 0 {
-		t.Fatalf("degenerate observation digest: %+v", st.Obs)
-	}
+	requireObserved(t, st.Obs)
 }
 
 func TestE13FullScale(t *testing.T) {
@@ -60,7 +38,7 @@ func TestE13FullScale(t *testing.T) {
 	if len(parts) != 2 || parts[0] != parts[1] {
 		t.Errorf("delivery = %s, want all", del)
 	}
-	if row(t, res, "determinism (observed)").Measured != "verified" {
+	if row(t, res, "determinism").Measured != "verified" {
 		t.Error("determinism row missing")
 	}
 }

@@ -10,13 +10,21 @@
 //
 // The fan-out is built sharded (netem.FanoutSpec.ShardSubtrees): the
 // outside world and transit in shard 0, the neutralizer border in shard
-// 1, one shard per customer subtree. MetroConfig.Workers chooses how
-// many threads execute the shards; with a fixed seed the outcome is
-// bit-identical at every worker count (E9 sweeps this).
+// 1, one shard per customer subtree. The worker count chooses how many
+// threads execute the shards; with a fixed seed the outcome is
+// bit-identical at every worker count.
+//
+// E9, the parallel engine experiment, is the same workload plus
+// intra-subtree host chatter (the load that lives entirely inside the
+// customer shards), swept over worker counts 1/2/4/8 with observation
+// attached. Its speedup rows come from the sweep's per-run wall clock;
+// like E5, scaling is only meaningful on hosts with enough cores, so it
+// is enforced by scripts/benchjson (gated on NumCPU >= 4), not here.
 package eval
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"netneutral/internal/core"
@@ -27,8 +35,8 @@ import (
 	"netneutral/internal/wire"
 )
 
-// MetroConfig parameterizes the metro-scale run; the zero value is
-// filled with the E6 defaults.
+// MetroConfig parameterizes the metro-scale run (E6, E9); the zero
+// value is filled with the E6 defaults.
 type MetroConfig struct {
 	// Hosts is the customer host count (default 10000).
 	Hosts int
@@ -46,9 +54,8 @@ type MetroConfig struct {
 	// shards — the parallel-scaling experiments (E9, the parallel
 	// benchmark) use it to model a metro whose hosts are not idle.
 	LocalPps float64
-	// Workers is how many threads execute the sharded engine
-	// (default 1; results are identical at any value).
-	Workers int
+	// Workers lists the thread counts of the identity sweep.
+	Workers []int
 	// Observe attaches the full observability plane — an epoch-barrier
 	// Recorder and a packet FlightRecorder on the sim's registry — and
 	// fills MetroStats.Obs with the observation digest. Observation is
@@ -73,16 +80,24 @@ func (c *MetroConfig) fill() {
 	if c.RatePps <= 0 {
 		c.RatePps = 50000
 	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
 }
+
+// E6's and E9's configs. The reduced ones run observed, so their
+// sweeps compare the recorder rings and flight samples too.
+var (
+	e6Full    = MetroConfig{Seed: 66, Workers: []int{1}}
+	e6Reduced = MetroConfig{Hosts: 1500, Seed: 66, Duration: 250 * time.Millisecond, RatePps: 20000,
+		Observe: true, Workers: []int{1, 4}}
+	e9Full = MetroConfig{Hosts: 10000, Seed: 9, Duration: time.Second, RatePps: 50000, LocalPps: 100000,
+		Observe: true, Workers: []int{1, 2, 4, 8}}
+	e9Reduced = MetroConfig{Hosts: 1200, Seed: 9, Duration: 300 * time.Millisecond, RatePps: 20000, LocalPps: 40000,
+		Observe: true, Workers: []int{1, 2, 4}}
+)
 
 // MetroStats is the outcome of a metro-scale run.
 type MetroStats struct {
-	Hosts   int
-	Shards  int
-	Workers int
+	Hosts  int
+	Shards int
 	// Sent counts neutralized packets from the outside source;
 	// LocalSent counts intra-subtree host chatter.
 	Sent           int
@@ -92,11 +107,11 @@ type MetroStats struct {
 	Dropped        uint64
 	ClassifierHits uint64
 	SimEvents      uint64
-	BuildTime      time.Duration
-	RunTime        time.Duration // wall clock of the event loop
-	EventsPerSec   float64       // SimEvents / RunTime
-	ForwardPps     float64       // Forwarded / RunTime
-	DeliveredPps   float64       // Delivered / RunTime
+	BuildTime      time.Duration `identity:"-"`
+	RunTime        time.Duration `identity:"-"` // wall clock of the event loop
+	EventsPerSec   float64       `identity:"-"` // SimEvents / RunTime
+	ForwardPps     float64       `identity:"-"` // Forwarded / RunTime
+	DeliveredPps   float64       `identity:"-"` // Delivered / RunTime
 	PoolAllocated  uint64
 	PoolGets       uint64
 	// Obs is the observation digest (nil unless MetroConfig.Observe).
@@ -195,22 +210,23 @@ func localChatter(f *netem.Fanout, pps float64, d time.Duration) int {
 	return sent
 }
 
-// RunMetro builds the fan-out world, attaches a neutralizer at the
-// border and a (futile) targeted classifier at the transit router, and
-// drives cfg.RatePps of neutralized traffic from one outside source
-// toward all cfg.Hosts customers for cfg.Duration of virtual time,
-// plus cfg.LocalPps of intra-subtree chatter.
-func RunMetro(cfg MetroConfig) (*MetroStats, error) {
+// RunMetro builds the fan-out world on the given number of worker
+// threads, attaches a neutralizer at the border and a (futile) targeted
+// classifier at the transit router, and drives cfg.RatePps of
+// neutralized traffic from one outside source toward all cfg.Hosts
+// customers for cfg.Duration of virtual time, plus cfg.LocalPps of
+// intra-subtree chatter.
+func RunMetro(cfg MetroConfig, workers int) (*MetroStats, error) {
 	cfg.fill()
 	buildStart := time.Now()
-	w, err := buildMetroWorld(cfg.Seed, cfg.Hosts, cfg.Workers, netem.LinkConfig{})
+	w, err := buildMetroWorld(cfg.Seed, cfg.Hosts, workers, netem.LinkConfig{})
 	if err != nil {
 		return nil, err
 	}
 	sim, f := w.sim, w.fan
 	var o *observation
 	if cfg.Observe {
-		o = attachObservation(sim)
+		o = attachObservation(sim, time.Millisecond)
 	}
 	if cfg.Attach != nil {
 		cfg.Attach(sim)
@@ -228,7 +244,7 @@ func RunMetro(cfg MetroConfig) (*MetroStats, error) {
 
 	delivered := f.CountDeliveries()
 	st := &MetroStats{
-		Hosts: cfg.Hosts, Shards: sim.ShardCount(), Workers: cfg.Workers,
+		Hosts: cfg.Hosts, Shards: sim.ShardCount(),
 		BuildTime: time.Since(buildStart),
 	}
 
@@ -269,30 +285,68 @@ func RunMetro(cfg MetroConfig) (*MetroStats, error) {
 	return st, nil
 }
 
-// RunE6 is the registered 10k-host experiment.
-func RunE6() (*Result, error) {
-	st, err := RunMetro(MetroConfig{Seed: 66})
+func sweepMetro(cfg MetroConfig) (*sweep[*MetroStats], error) {
+	return runSweep(cfg.Workers, func(w int) (*MetroStats, error) { return RunMetro(cfg, w) })
+}
+
+func e6Result(cfg MetroConfig) (*Result, error) {
+	sw, err := sweepMetro(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E6", Title: "Metro-scale emulation (10k customers, one neutralizer domain)", Rows: []Row{
+	st := sw.first()
+	rows := []Row{
 		{Metric: "customer hosts", Paper: "-", Measured: fmt.Sprintf("%d", st.Hosts),
-			Note: fmt.Sprintf("%d-node fan-out (%d shards) built in %v", st.Hosts, st.Shards, st.BuildTime.Round(time.Millisecond))},
+			Note: fmt.Sprintf("%d-node fan-out, %d shards", st.Hosts, st.Shards)},
 		{Metric: "neutralized packets delivered", Paper: "all",
 			Measured: fmt.Sprintf("%d/%d", st.Delivered, st.Sent), Note: "open-loop load, every customer reached"},
 		{Metric: "classifier hits at transit", Paper: "0",
 			Measured: fmt.Sprintf("%d", st.ClassifierHits), Note: "address-targeting rule cannot fire"},
+		{Metric: "pooled buffers allocated", Paper: "-",
+			Measured: fmt.Sprintf("%d", st.PoolAllocated),
+			Note:     fmt.Sprintf("for %d checkouts (recycled, not copied per hop)", st.PoolGets)},
+	}
+	wall := []Row{
+		{Metric: "build time", Paper: "-", Measured: st.BuildTime.Round(time.Millisecond).String(),
+			Note: fmt.Sprintf("%d-host fan-out", st.Hosts)},
 		{Metric: "sim events/sec", Paper: "-",
 			Measured: fmt.Sprintf("%.0f", st.EventsPerSec),
 			Note:     fmt.Sprintf("%d events in %v wall", st.SimEvents, st.RunTime.Round(time.Millisecond))},
 		{Metric: "packets forwarded/sec", Paper: "-",
 			Measured: fmt.Sprintf("%.0f", st.ForwardPps),
 			Note:     fmt.Sprintf("%d forwarding hops", st.Forwarded)},
-		{Metric: "pooled buffers allocated", Paper: "-",
-			Measured: fmt.Sprintf("%d", st.PoolAllocated),
-			Note:     fmt.Sprintf("for %d checkouts (recycled, not copied per hop)", st.PoolGets)},
-	}}, nil
+	}
+	return sw.result(rows, wall), nil
 }
+
+const metroTitle = "Metro-scale emulation (10k customers, one neutralizer domain)"
+
+func e9Result(cfg MetroConfig) (*Result, error) {
+	sw, err := sweepMetro(cfg)
+	if err != nil {
+		return nil, err
+	}
+	st := sw.first()
+	rows := []Row{{
+		Metric: "workload", Paper: "-",
+		Measured: fmt.Sprintf("%d hosts, %d shards", st.Hosts, st.Shards),
+		Note: fmt.Sprintf("%d neutralized + %d intra-subtree packets over %v simulated",
+			st.Sent, st.LocalSent, cfg.Duration),
+	}}
+	var wall []Row
+	for _, r := range sw.runs {
+		wall = append(wall, Row{
+			Metric:   fmt.Sprintf("events/sec at %d worker(s)", r.workers),
+			Paper:    "-",
+			Measured: fmt.Sprintf("%.0f", float64(r.out.SimEvents)/r.wall.Seconds()),
+			Note: fmt.Sprintf("%.2fx of %d worker(s) over the whole run, GOMAXPROCS=%d (scaling enforced by benchjson on >= 4 cores)",
+				sw.runs[0].wall.Seconds()/r.wall.Seconds(), sw.runs[0].workers, runtime.GOMAXPROCS(0)),
+		})
+	}
+	return sw.result(rows, wall), nil
+}
+
+const parScaleTitle = "Parallel sharded engine: worker scaling with bit-identical replay"
 
 // MetroBench is the reusable fixture behind BenchmarkNetemMetro: the
 // 10k-host world is built once, then bursts of neutralized traffic are
@@ -355,7 +409,7 @@ func NewMetroBenchObserved(hosts, burst int) (*MetroBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	attachObservation(m.sim)
+	attachObservation(m.sim, time.Millisecond)
 	return m, nil
 }
 
@@ -406,3 +460,57 @@ func AttachNeutralizerScratchProc(node *netem.Node, n *core.Neutralizer, proc ti
 		}
 	})
 }
+
+// ParMetroBench is the fixture behind BenchmarkNetemMetroParallel: the
+// sharded metro world built once per worker count, with the downstream
+// sender and every per-host chatter sender prebuilt, so one benchmark
+// op pays only the traffic it schedules and runs. The workload matches
+// E9: neutralized downstream load through the border plus
+// intra-subtree host chatter. Size chunks so the per-host chatter
+// interval fits inside them — RunChunk reports how many packets it
+// scheduled precisely so a mis-sized chunk cannot silently degrade the
+// workload to downstream-only.
+type ParMetroBench struct {
+	w        *metroWorld
+	rate     float64
+	perHost  float64
+	outSend  func(seq uint64)
+	hosts    []*netem.Node
+	hostSend []func(seq uint64)
+}
+
+// NewParMetroBench builds the fixture at the given host count and
+// worker count.
+func NewParMetroBench(hosts, workers int) (*ParMetroBench, error) {
+	w, err := buildMetroWorld(1, hosts, workers,
+		netem.LinkConfig{Delay: time.Millisecond, QueueLen: 512})
+	if err != nil {
+		return nil, err
+	}
+	f := w.fan
+	p := &ParMetroBench{
+		w: w, rate: 40000, perHost: 80000 / float64(hosts),
+		outSend: trafficgen.CyclingSender(f.Outside[0], w.templates),
+	}
+	p.hosts, p.hostSend = chatterSenders(f)
+	return p, nil
+}
+
+// RunChunk schedules one chunk of downstream and intra-subtree load,
+// advances the simulation through it, and returns the number of packets
+// scheduled (callers should reject a chunk that scheduled no chatter).
+func (p *ParMetroBench) RunChunk(d time.Duration) int {
+	sent := trafficgen.OpenLoop{RatePps: p.rate}.Run(p.w.fan.Outside[0], d, p.outSend)
+	local := 0
+	for i, host := range p.hosts {
+		local += trafficgen.OpenLoop{RatePps: p.perHost}.Run(host, d, p.hostSend[i])
+	}
+	p.w.sim.RunFor(d)
+	if local == 0 {
+		return 0 // chunk shorter than the per-host interval: wrong workload
+	}
+	return sent + local
+}
+
+// Events reports the engine's cumulative event count.
+func (p *ParMetroBench) Events() uint64 { return p.w.sim.EventsProcessed() }

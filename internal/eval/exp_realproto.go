@@ -48,6 +48,9 @@ type RealProtoConfig struct {
 	// Trials is the number of audit measurement windows per role in the
 	// audit phase (default 8).
 	Trials int
+	// Workers lists the identity sweep's runs. simnet drives the serial
+	// engine, so each entry is one same-seed replay.
+	Workers []int
 }
 
 func (c *RealProtoConfig) fill() {
@@ -61,6 +64,14 @@ func (c *RealProtoConfig) fill() {
 		c.Trials = 8
 	}
 }
+
+// E10's configs. The reduced replay is the seed-discipline check for the
+// simnet bridge: every latency, classification and verdict must repeat
+// although real net/http goroutines ran on the OS scheduler in between.
+var (
+	e10Full    = RealProtoConfig{Seed: 10, Workers: []int{1}}
+	e10Reduced = RealProtoConfig{Seed: 77, Clients: 2, Requests: 2, Trials: 6, Workers: []int{1, 1}}
+)
 
 // realDNSResult is the DNS phase's measurement: a blocking ConnClient
 // resolving over simnet UDP against the unmodified resolver.
@@ -85,7 +96,6 @@ type realHTTPResult struct {
 
 // RealProtoStats is the full E10 outcome.
 type RealProtoStats struct {
-	Cfg  RealProtoConfig
 	DNS  realDNSResult
 	HTTP realHTTPResult
 	// Neutral and Throttled are the audit vantage's verdicts over real
@@ -562,10 +572,10 @@ func verifyRealTrace(fr *obs.FlightRecorder) (RealTraceCheck, error) {
 	return tc, nil
 }
 
-// RunRealProto runs all three E10 phases.
+// RunRealProto runs all three E10 phases and enforces the verdicts.
 func RunRealProto(cfg RealProtoConfig) (*RealProtoStats, error) {
 	cfg.fill()
-	st := &RealProtoStats{Cfg: cfg}
+	st := &RealProtoStats{}
 
 	dns, err := runRealDNS(cfg.Seed)
 	if err != nil {
@@ -585,12 +595,12 @@ func RunRealProto(cfg RealProtoConfig) (*RealProtoStats, error) {
 	if st.Throttled, st.ThrottledTrace, err = runRealAuditCell(cfg.Seed+4, cfg.Trials, true); err != nil {
 		return nil, err
 	}
-	return st, nil
+	return st, verifyRealProto(cfg, st)
 }
 
-// Enforce is E10's self-check: the run fails loudly when real
+// verifyRealProto is E10's self-check: the run fails loudly when real
 // protocols did not actually cross the sim the way the claims require.
-func (st *RealProtoStats) Enforce() error {
+func verifyRealProto(cfg RealProtoConfig, st *RealProtoStats) error {
 	type check struct {
 		ok  bool
 		msg string
@@ -608,8 +618,8 @@ func (st *RealProtoStats) Enforce() error {
 			fmt.Sprintf("resolver counters = %d/%d, want 3 queries, 1 encrypted", st.DNS.Queries, st.DNS.Encrypted)},
 		{st.HTTP.OK == st.HTTP.Want,
 			fmt.Sprintf("http requests completed = %d/%d", st.HTTP.OK, st.HTTP.Want)},
-		{st.HTTP.Flows == st.Cfg.Clients,
-			fmt.Sprintf("transit dpi tap observed %d/%d client flows", st.HTTP.Flows, st.Cfg.Clients)},
+		{st.HTTP.Flows == cfg.Clients,
+			fmt.Sprintf("transit dpi tap observed %d/%d client flows", st.HTTP.Flows, cfg.Clients)},
 		{st.HTTP.Hist[dpi.ClassUnknown] == 0,
 			fmt.Sprintf("%d flows never classified (too few packets reached transit?)", st.HTTP.Hist[dpi.ClassUnknown])},
 		{!st.Neutral.Discriminated,
@@ -635,9 +645,6 @@ func (st *RealProtoStats) Enforce() error {
 	return nil
 }
 
-// ClassHist renders the transit tap's class histogram deterministically.
-func (r *realHTTPResult) ClassHist() string { return classHistString(&r.Hist) }
-
 // classHistString renders the DPI class histogram deterministically.
 func classHistString(hist *[dpi.NumClasses + 1]int) string {
 	var b strings.Builder
@@ -658,16 +665,13 @@ func classHistString(hist *[dpi.NumClasses + 1]int) string {
 
 var realProtoTitle = "Real protocol stacks over the sim (net/http + DNS vs DPI and audit)"
 
-// RunE10 is the registered real-protocol experiment.
-func RunE10() (*Result, error) {
-	st, err := RunRealProto(RealProtoConfig{Seed: 10})
+func e10Result(cfg RealProtoConfig) (*Result, error) {
+	sw, err := runSweep(cfg.Workers, func(int) (*RealProtoStats, error) { return RunRealProto(cfg) })
 	if err != nil {
 		return nil, err
 	}
-	if err := st.Enforce(); err != nil {
-		return nil, err
-	}
-	return &Result{ID: "E10", Title: realProtoTitle, Rows: []Row{
+	st := sw.first()
+	return sw.result([]Row{
 		{Metric: "dns lookup rtt over simnet (plain / encrypted)", Paper: "-",
 			Measured: fmt.Sprintf("%v / %v", st.DNS.PlainRTT, st.DNS.EncRTT),
 			Note:     "blocking ConnClient, exact virtual latency"},
@@ -690,5 +694,5 @@ func RunE10() (*Result, error) {
 			Measured: fmt.Sprintf("%d journeys exact", st.NeutralTrace.Journeys+st.ThrottledTrace.Journeys),
 			Note: fmt.Sprintf("%d throttled journeys each attributed exactly 20ms of rule-caused delay",
 				st.ThrottledTrace.Throttled)},
-	}}, nil
+	}, nil), nil
 }

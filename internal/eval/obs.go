@@ -1,12 +1,12 @@
 package eval
 
-// Observation wiring shared by the experiments. E6/E9 (metro) and E8
-// (audit) can run with the full observability plane attached — an
-// obs.Recorder ticking at every epoch barrier and an obs.FlightRecorder
-// head-sampling packet events — and fold what was observed into the
-// run's deterministic identity. ObsDigest condenses the recorded state
-// (time-series rings, sampled-event set, final registry snapshot) into
-// a few comparable words, so the worker-identity checks can assert
+// Observation wiring shared by the experiments. E6/E9 (metro), E8
+// (audit) and E13 (backbone) can run with the full observability plane
+// attached — an obs.Recorder ticking at every epoch barrier and an
+// obs.FlightRecorder head-sampling packet events — and fold what was
+// observed into the run's deterministic identity. ObsDigest condenses
+// the recorded state (time-series rings, sampled-event set, final
+// registry snapshot) into a few words, so the identity sweep can assert
 // "observation itself replays bit-identically" without hauling the
 // rings around.
 
@@ -29,14 +29,14 @@ type observation struct {
 }
 
 // attachObservation puts the full observability plane on sim before a
-// run. The recorder samples every non-volatile family at epoch barriers
-// (interval-gated on virtual time); the flight recorder samples 1-in-64
-// packet events per shard stripe. Both are pure observers: attaching
-// them must not change any run outcome, and what they record is itself
-// bit-identical at every worker count.
-func attachObservation(sim *netem.Simulator) *observation {
+// run. The recorder samples every non-volatile family at epoch barriers,
+// at most once per every of virtual time, into 512-point rings; the
+// flight recorder samples 1-in-64 packet events per shard stripe. Both
+// are pure observers: attaching them must not change any run outcome,
+// and what they record is itself bit-identical at every worker count.
+func attachObservation(sim *netem.Simulator, every time.Duration) *observation {
 	rec := obs.NewRecorder(sim.Metrics(), obs.RecorderConfig{
-		RingSize: 512, Interval: time.Millisecond,
+		RingSize: 512, Interval: every,
 	})
 	rec.Register()
 	sim.OnBarrier(func(now time.Time) { rec.Tick(now.UnixNano()) })
@@ -63,8 +63,7 @@ func attachTracing(sim *netem.Simulator) *obs.FlightRecorder {
 
 // ObsDigest condenses what a run's observers recorded. Two observed
 // runs of the same seed must produce equal digests at any worker count;
-// E9 folds the digest into its identity key and the worker-identity
-// tests compare digests directly.
+// every field is part of the run's identity encoding.
 type ObsDigest struct {
 	// RecorderTicks counts barrier samples taken.
 	RecorderTicks uint64
@@ -190,14 +189,6 @@ func checkAttribution(evs []obs.TraceRec, tagged map[uint64]bool, evicted uint64
 		return fmt.Errorf("attribution invariant: no complete tagged journey survived to check (evicted=%d)", evicted)
 	}
 	return nil
-}
-
-// key flattens the digest for identity-key comparison.
-func (d *ObsDigest) key() [4]uint64 {
-	if d == nil {
-		return [4]uint64{}
-	}
-	return [4]uint64{d.RecorderTicks, d.RingsHash, d.FlightHash, d.FinalHash}
 }
 
 // fnv64 is a tiny FNV-1a accumulator behind the digest fingerprints.

@@ -287,8 +287,10 @@ type Experiment = eval.Experiment
 // ExperimentResult is an experiment's paper-vs-measured row set.
 type ExperimentResult = eval.Result
 
-// Experiments returns every registered experiment (E1-E10, F1-F2, A1-A8 —
-// `neutbench -list` prints the index; see README.md).
+// Experiments returns every registered experiment (E1-E10, E13, F1-F2,
+// A1-A8 — `neutbench -list` prints the index; see README.md). The
+// scenario experiments E6-E10 and E13 also carry a reduced config
+// (Experiment.Reduced).
 func Experiments() []Experiment { return eval.All() }
 
 // ExperimentByID looks up an experiment by its index id (e.g. "E3").
